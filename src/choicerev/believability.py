@@ -1052,8 +1052,10 @@ def relation_to_json(
     u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
+    # encode each set once, not once per pair it appears in
+    encoded = [s.encode() for s in t.sets]
     pairs = [
-        [t.sets[i].encode(), t.sets[j].encode()]
+        [encoded[i], encoded[j]]
         for i in range(len(t.sets))
         for j in range(len(t.sets))
         if m[i, j]

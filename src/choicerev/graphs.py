@@ -10,56 +10,67 @@ import numpy as np
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Tarjan, iterative. adj[i, j] truthy means an edge i -> j.
+    """Tarjan's SCC over a dense digraph; adj[i, j] truthy means i -> j.
 
-    Components come out in reverse topological order; nodes inside a
-    component keep discovery order.
+    Output order is a contract that strong-reciprocity witnesses rely on.
+    The depth-first search starts from the lowest unvisited node and
+    scans successors in increasing id, so components come out in reverse
+    topological order and nodes inside a component keep discovery order.
+
+    Cost: interpreted work is per node, not per edge.  Rows are packed
+    into int bitsets, so finding the next tree child is O(n/64) word
+    operations (O(n^2/64) in all); each node's low-link is finalised once,
+    when it finishes, by one vectorised min over its row (O(n^2) in all).
     """
-    n = adj.shape[0]
-    index = [-1] * n
+    a = np.asarray(adj, dtype=bool)
+    n = a.shape[0]
+    width = (n + 7) // 8
+    packed = np.packbits(a, axis=1, bitorder="little").tobytes()
+    rows = [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
+    # discovery index of each node while it is on the stack, n + 1 otherwise
+    stack_index = np.full(n, n + 1, dtype=np.intp)
+    index = [0] * n
     low = [0] * n
-    on_stack = [False] * n
+    stack_pos = [0] * n
     stack: list[int] = []
     comps: list[list[int]] = []
+    unvisited = (1 << n) - 1
     counter = 0
-    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_i = work.pop()
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(child_i, len(succ[node])):
-                nxt = succ[node][k]
-                if index[nxt] == -1:
-                    work.append((node, k + 1))
-                    work.append((nxt, 0))
-                    advanced = True
+    while unvisited:
+        node = (unvisited & -unvisited).bit_length() - 1
+        path: list[int] = []
+        while True:
+            index[node] = low[node] = stack_index[node] = counter
+            counter += 1
+            stack_pos[node] = len(stack)
+            stack.append(node)
+            path.append(node)
+            unvisited ^= 1 << node
+            # finish path nodes until one has an unvisited successor
+            while path:
+                top = path[-1]
+                todo = rows[top] & unvisited
+                if todo:
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comp.reverse()
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                path.pop()
+                # on-stack successors stay on the stack until top finishes, and
+                # successors discovered after top have larger indices, so one
+                # min now gives the low-link an edge-by-edge scan would
+                lo = low[top]
+                if rows[top]:
+                    lo = min(lo, int(stack_index[a[top]].min()))
+                if lo == index[top]:
+                    comp = stack[stack_pos[top]:]
+                    del stack[stack_pos[top]:]
+                    stack_index[comp] = n + 1
+                    comps.append(comp)
+                elif lo < low[path[-1]]:
+                    low[path[-1]] = lo
+            if not path:
+                break
+            # the next tree child is the lowest unvisited successor
+            node = (todo & -todo).bit_length() - 1
     return comps
 
 

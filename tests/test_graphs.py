@@ -3,7 +3,7 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from choicerev.graphs import (
     condense_by_outcome,
@@ -20,6 +20,94 @@ def adj_from_edges(n, edges):
     for i, j in edges:
         a[i, j] = True
     return a
+
+
+def _reference_scc(adj):
+    """Edge-by-edge iterative Tarjan: the reference for SCC output and order."""
+    n = adj.shape[0]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child_i = work.pop()
+            if child_i == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            for k in range(child_i, len(succ[node])):
+                nxt = succ[node][k]
+                if index[nxt] == -1:
+                    work.append((node, k + 1))
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                comp.reverse()
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return comps
+
+
+@st.composite
+def digraphs(draw):
+    """Random dense digraphs; n crosses the 64- and 128-bit row boundaries."""
+    n = draw(st.integers(0, 130))
+    density = draw(
+        st.sampled_from([0.0, 1.0])
+        | st.floats(0.0, 1.0)
+        # sparse: about c edges per node, so many small components
+        | st.floats(0.0, 3.0).map(lambda c: c / max(n, 1))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.random((n, n)) < density
+    loops = draw(st.sampled_from(["none", "all", "random"]))
+    if loops != "random":
+        np.fill_diagonal(a, loops == "all")
+    # callers pass any truthy matrix, not only bool
+    if draw(st.booleans()):
+        a = a.astype(np.int64) * draw(st.integers(1, 5))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_matches_reference_including_order(a):
+    assert strongly_connected_components(a) == _reference_scc(a)
+
+
+def test_scc_word_boundaries_and_extremes():
+    for n in (0, 1, 63, 64, 65, 127, 128, 129):
+        empty = np.zeros((n, n), dtype=bool)
+        assert strongly_connected_components(empty) == [[i] for i in range(n)]
+        full = np.ones((n, n), dtype=np.int8)
+        assert strongly_connected_components(full) == ([list(range(n))] if n else [])
+        # one cycle closed across every word boundary: n-1 -> 0
+        ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        assert strongly_connected_components(ring) == _reference_scc(ring)
 
 
 def test_scc_basic():

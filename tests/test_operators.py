@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from test_graphs import _reference_scc
 
+from choicerev import graphs
 from choicerev.logic import (
     BeliefSet,
     InputSet,
@@ -293,3 +295,33 @@ def test_check_postulates_covers_all(induced_op):
     reports = check_postulates(induced_op)
     assert set(reports) == set(PostulateId)
     assert passes(induced_op, BASIC_POSTULATES)
+
+
+
+def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
+    """Witnesses at benchmark scale are byte-identical to the reference Tarjan's.
+
+    Random and model-induced operators at n=137, one random at n=697.
+    """
+    u137 = UniverseSpec(LanguageSpec(2), 2)
+    u697 = UniverseSpec(LanguageSpec(2), 3)
+    assert (u137.size, u697.size) == (137, 697)
+    ops = [random_operator(seed, u137) for seed in range(4)]
+    for seed, size, flags in (
+        (1, 5, ModelFlags()),
+        (2, 6, ModelFlags(has_X3=True, has_leq3=True)),
+        (3, 9, ModelFlags(has_X3=True)),
+    ):
+        m = generate_model(seed, u137.lang, size, flags)
+        ops.append(ChoiceOperator.from_model(m, max_input_size=2))
+    ops.append(random_operator(0, u697))
+
+    reports = [check_postulate(op, PostulateId.STRONG_RECIPROCITY) for op in ops]
+    monkeypatch.setattr(graphs, "strongly_connected_components", _reference_scc)
+    expected = [check_postulate(op, PostulateId.STRONG_RECIPROCITY) for op in ops]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
+    # the model-induced operators pass, the random ones fail with a witness
+    assert [r.holds for r in reports] == [False] * 4 + [True] * 3 + [False]
+    for op, r in zip(ops, reports):
+        if not r.holds:
+            assert witness_violates(op, PostulateId.STRONG_RECIPROCITY, r.witness)
