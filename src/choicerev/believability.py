@@ -326,15 +326,8 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
     quotient, computed once.
     """
     k = op._kernel()
-    n = len(op.outputs)
-    uniq, inv = np.unique(k.out, return_inverse=True)
-    g = len(uniq)
-    ge = np.zeros((g, g), dtype=bool)
-    groups = [np.flatnonzero(inv == i) for i in range(g)]
-    for i in range(g):
-        for j in range(g):
-            ge[i, j] = k.meets[np.ix_(groups[i], groups[j])].any()
-    reach = graphs.reachability(ge) | np.eye(g, dtype=bool)
+    uniq, inv, ge = k.outcome_quotient()
+    reach = graphs.reachability(ge) | np.eye(len(uniq), dtype=bool)
     m = (~k.diag)[None, :] | (k.diag[:, None] & reach[inv[:, None], inv[None, :]])
     return MultiBelievabilityRelation.from_table(op.universe, m, kind="operator")
 
@@ -557,7 +550,6 @@ def _check_multi(
     if p == RelationPostulateId.WEAK_COUPLING:
         eq = m & m.T
         c2 = t.conj_index
-        c3 = t.conj3_index
         checked = 0
         skipped = 0
         first = None
@@ -566,7 +558,9 @@ def _check_multi(
             ok2 = row2 >= 0
             prem = np.zeros(n, dtype=bool)
             prem[ok2] = eq[a, row2[ok2]]
-            tgt = c3[a]
+            # A conj B conj D by associativity; rows where A conj B is
+            # outside the universe are masked off by ok2
+            tgt = c2[np.clip(row2, 0, None)]
             ok3 = tgt >= 0
             evaluable = ok2[:, None] & ok2[None, :] & ok3
             checked += int(evaluable.sum())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,33 +115,6 @@ def shortest_path(adj: np.ndarray, start: int, goal: int) -> Optional[list[int]]
     return path
 
 
-def simple_cycles_bounded(adj: np.ndarray, max_len: int) -> list[list[int]]:
-    """All simple cycles of length <= max_len, canonical rotation, sorted."""
-    n = adj.shape[0]
-    out = set()
-    a = adj.astype(bool)
-    for i in range(n):
-        if a[i, i]:
-            out.add((i,))
-    if max_len >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i, j] and a[j, i]:
-                    out.add((i, j))
-    if max_len >= 3:
-        for i in range(n):
-            for j in range(n):
-                if i == j or not a[i, j]:
-                    continue
-                for k in np.flatnonzero(a[j]):
-                    k = int(k)
-                    if k in (i, j):
-                        continue
-                    if a[k, i] and i < j and i < k:
-                        out.add((i, j, k))
-    return sorted(list(c) for c in out)
-
-
 def stable_topological_order(
     n: int, must_precede: np.ndarray, tie_key: Callable[[int], object]
 ) -> Optional[list[int]]:
@@ -170,14 +143,3 @@ def stable_topological_order(
     if len(order) != n:
         return None
     return order
-
-
-def condense_by_outcome(labels: Sequence[int]) -> tuple[list[int], dict[int, int]]:
-    """Group node labels: returns (group index per node, label -> group)."""
-    mapping: dict[int, int] = {}
-    groups = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        groups.append(mapping[lab])
-    return groups, mapping

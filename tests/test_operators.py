@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from test_graphs import _reference_scc
+from test_graphs import _reference_scc, _simple_cycles_bounded
 
 from choicerev import graphs
 from choicerev.logic import (
@@ -25,6 +25,7 @@ from choicerev.operators import (
     OutsideUniverseError,
     PostulateId,
     UniverseSpec,
+    Witness,
     check_equivalences,
     check_postulate,
     check_postulates,
@@ -34,7 +35,6 @@ from choicerev.operators import (
     passes,
     random_operator,
     save_operator,
-    strong_reciprocity_bounded_loops,
     syntax_probe,
     theory_meets,
     witness_violates,
@@ -178,6 +178,24 @@ def test_reciprocity_fails_on_some_random_op(u1):
     )
 
 
+def _strong_reciprocity_bounded_loops(op, max_len=3):
+    """Independent slow check: scan all simple loops up to max_len.
+
+    Returns a violating loop witness or None.  A loop found here always
+    implies an SCC violation.
+    """
+    k = op._kernel()
+    for cycle in _simple_cycles_bounded(k.meets, max_len):
+        outs = {int(k.out[i]) for i in cycle}
+        if len(outs) > 1:
+            return Witness(
+                tuple(k.t.sets[i] for i in cycle),
+                tuple(op.outputs[i] for i in cycle),
+                f"violating loop of length {len(cycle)}",
+            )
+    return None
+
+
 def test_scc_vs_bounded_loops(u1):
     """The loop scan is sound for the SCC criterion, both known directions.
 
@@ -188,7 +206,7 @@ def test_scc_vs_bounded_loops(u1):
     for seed in range(60):
         op = random_operator(seed, u1)
         scc_holds = check_postulate(op, PostulateId.STRONG_RECIPROCITY).holds
-        loop = strong_reciprocity_bounded_loops(op, max_len=11)
+        loop = _strong_reciprocity_bounded_loops(op, max_len=11)
         if loop is not None:
             assert not scc_holds
             assert witness_violates(op, PostulateId.STRONG_RECIPROCITY, loop)
@@ -325,3 +343,22 @@ def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
     for op, r in zip(ops, reports):
         if not r.holds:
             assert witness_violates(op, PostulateId.STRONG_RECIPROCITY, r.witness)
+
+
+def test_outcome_quotient_matches_group_loop():
+    """The scattered quotient graph equals the per-group-pair block scan."""
+    u137 = UniverseSpec(LanguageSpec(2), 2)
+    ops = [random_operator(seed, u137) for seed in range(2)]
+    for seed, size in ((1, 5), (2, 9)):
+        m = generate_model(seed, u137.lang, size, ModelFlags())
+        ops.append(ChoiceOperator.from_model(m, max_input_size=2))
+    for op in ops:
+        k = op._kernel()
+        uniq, inv, ge = k.outcome_quotient()
+        assert np.array_equal(uniq, np.unique(k.out))
+        assert np.array_equal(uniq[inv], k.out)
+        groups = [np.flatnonzero(inv == i) for i in range(len(uniq))]
+        want = np.array([
+            [k.meets[np.ix_(gi, gj)].any() for gj in groups] for gi in groups
+        ])
+        assert np.array_equal(ge, want)

@@ -143,6 +143,64 @@ def test_roundtrip_relation_gate(plain_op):
     assert report.witness["kind"] == "postulate"
 
 
+@pytest.mark.parametrize("atoms, max_input_size", [(3, 1), (2, 3)])
+def test_roundtrip_relation_theorem4_full_size(atoms, max_input_size):
+    """n=257 and n=697: the relation side runs at the battery's sizes."""
+    lang = LanguageSpec(atoms)
+    m = generate_model(1, lang, 6, ModelFlags(has_X3=False, has_leq3=False))
+    op = ChoiceOperator.from_model(m, max_input_size)
+    report = verify_roundtrip_relation(op)
+    assert report.theorem == 4
+    assert report.passed, report.witness
+    assert report.universe["input_sets"] == op.universe.size
+
+
+def test_roundtrip_relation_theorem5_n697(lang2):
+    m = generate_model(1, lang2, 8, ModelFlags(has_X3=True, has_leq3=True))
+    op = ChoiceOperator.from_model(m, max_input_size=3)
+    report = verify_roundtrip_relation(op, standard=True)
+    assert report.theorem == 5
+    assert report.universe["input_sets"] == 697
+    assert report.passed, report.witness
+
+
+def test_roundtrip_relation_gate_n697(lang2):
+    op = random_operator(0, UniverseSpec(lang2, 3))
+    report = verify_roundtrip_relation(op, standard=True)
+    assert not report.passed
+    assert report.witness["kind"] == "postulate"
+
+
+def test_theorem5_needs_pair_inputs(lang2):
+    """With singleton inputs only (k=1), theorem 5 fails completeness for
+    some has_X3/has_leq3 models; the same models pass at k=2, and
+    theorem 4, which does not ask for completeness, passes at k=1.
+
+    The incomparable pair is two singletons: no singleton input links
+    their outcomes, so the table does not reveal their order.
+    """
+    failed = 0
+    for seed in range(40):
+        m = generate_model(seed, lang2, 6 + seed % 7, ModelFlags(True, True))
+        k1 = ChoiceOperator.from_model(m, max_input_size=1)
+        assert verify_roundtrip_relation(k1).passed, seed
+        assert verify_roundtrip_relation(
+            ChoiceOperator.from_model(m, max_input_size=2), standard=True
+        ).passed, seed
+        report = verify_roundtrip_relation(k1, standard=True)
+        if report.passed:
+            continue
+        failed += 1
+        assert report.detail == "derived relation fails completeness", seed
+        items = report.witness["witness"]["items"]
+        assert [len(a) for a in items] == [1, 1], seed
+    assert failed == 17
+    # the same at three atoms, n=257
+    m = generate_model(2, LanguageSpec(3), 12, ModelFlags(True, True))
+    report = verify_roundtrip_relation(ChoiceOperator.from_model(m, 1), standard=True)
+    assert report.detail == "derived relation fails completeness"
+
+
 def test_derived_relation_maximality_needs_consistency(u2, lang2):
     """Mapping a satisfiable input to the inconsistent theory plants a
     second top element in the derived ordering."""
