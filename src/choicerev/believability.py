@@ -37,6 +37,7 @@ from .operators import (
     ChoiceOperator,
     OutsideUniverseError,
     UniverseSpec,
+    _first_true,
     _tables,
 )
 
@@ -408,7 +409,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
         viol = (l @ l) & ~l
         if not viol.any():
             return _single_report(p, True, c ** 3)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         mid = int(np.flatnonzero(l[a] & l[:, b])[0])
         w = RelationWitness(
             (_cls(lang, a), _cls(lang, mid), _cls(lang, b)),
@@ -424,7 +425,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
         viol = eq & ~target
         if not viol.any():
             return _single_report(p, True, c * c)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness(
             (_cls(lang, a), _cls(lang, b), _cls(lang, a & b)),
             "equally acceptable pair whose conjunction drops rank",
@@ -441,7 +442,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
             concl = eq[a, triple]
             viol = pair & ~concl
             if viol.any():
-                b, d = (int(v) for v in np.argwhere(viol)[0])
+                b, d = _first_true(viol)
                 w = RelationWitness(
                     (_cls(lang, a), _cls(lang, b), _cls(lang, d)),
                     "both single adjunctions keep rank but the joint one drops it",
@@ -455,7 +456,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
         viol = ent & ~l.T
         if not viol.any():
             return _single_report(p, True, c * c)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness(
             (_cls(lang, a), _cls(lang, b)),
             "logically weaker class is not at least as acceptable",
@@ -495,7 +496,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
         viol = ~l & ~l.T
         if not viol.any():
             return _single_report(p, True, c * c)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness((_cls(lang, a), _cls(lang, b)), "incomparable pair")
         return _single_report(p, False, c * c, w)
 
@@ -522,7 +523,7 @@ def _check_multi(
         viol = (m @ m) & ~m
         if not viol.any():
             return report(True, n ** 3)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         mid = int(np.flatnonzero(m[a] & m[:, b])[0])
         w = RelationWitness(
             (sets[a], sets[mid], sets[b]),
@@ -540,7 +541,7 @@ def _check_multi(
         checked = n * n - skipped
         if not viol.any():
             return report(True, checked, skipped)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness(
             (sets[a], sets[b], sets[int(c2[a, b])]),
             "equally acceptable pair whose pairwise conjunction drops rank",
@@ -568,7 +569,7 @@ def _check_multi(
             concl = eq[a, np.clip(tgt, 0, None)]
             viol = evaluable & prem[:, None] & prem[None, :] & ~concl
             if first is None and viol.any():
-                b, d = (int(v) for v in np.argwhere(viol)[0])
+                b, d = _first_true(viol)
                 first = RelationWitness(
                     (sets[a], sets[b], sets[d]),
                     "both pairwise adjunctions keep rank but the triple one drops it",
@@ -588,7 +589,7 @@ def _check_multi(
         viol = ante & ~m
         if not viol.any():
             return report(True, n * n)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness(
             (sets[a], sets[b]),
             "every member of the second set entails some member of the first, yet the first does not rank at least as high",
@@ -643,7 +644,7 @@ def _check_multi(
         viol = ~m & ~m.T
         if not viol.any():
             return report(True, n * n)
-        a, b = (int(v) for v in np.argwhere(viol)[0])
+        a, b = _first_true(viol)
         w = RelationWitness((sets[a], sets[b]), "incomparable pair")
         return report(False, n * n, witness=w)
 
@@ -866,7 +867,7 @@ def check_member_reduction(
         return MetatheoremReport(
             "member_reduction", ante, applicable, True, checked
         )
-    a, b = (int(v) for v in np.argwhere(viol)[0])
+    a, b = _first_true(viol)
     w = RelationWitness(
         (t.sets[a], t.sets[b]),
         "set-level comparison disagrees with its member-level reduction",
@@ -1005,7 +1006,7 @@ def check_equivalence_preserves_outcome(op: ChoiceOperator) -> MetatheoremReport
         return MetatheoremReport(
             "equivalence_preserves_outcome", {}, True, True, n * n
         )
-    a, b = (int(v) for v in np.argwhere(viol)[0])
+    a, b = _first_true(viol)
     w = RelationWitness(
         (t.sets[a], t.sets[b]), "equally ranked inputs with different outcomes"
     )

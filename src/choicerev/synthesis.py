@@ -48,6 +48,7 @@ from .operators import (
     ChoiceOperator,
     PostulateId,
     UniverseSpec,
+    _first_true,
     _tables,
     check_postulates,
     enumerate_universe,
@@ -417,7 +418,7 @@ def verify_translation(
         m1 = lifted.table_over(u)
         m2 = r.table_over(u)
         t = _tables(u)
-        a, b = (int(v) for v in np.argwhere(m1 != m2)[0])
+        a, b = _first_true(m1 != m2)
         return RoundTripReport(
             3,
             False,
@@ -612,7 +613,7 @@ def check_sentential_postulates(
     viol_m = member & ~diag[:, None]
     w = None
     if viol_m.any():
-        x, y = (int(v) for v in np.argwhere(viol_m)[0])
+        x, y = _first_true(viol_m)
         w = SententialWitness(
             (cls(x), cls(y)),
             (op.outputs[x], op.outputs[y]),
@@ -625,7 +626,7 @@ def check_sentential_postulates(
     viol_m = member & member.T & (out[:, None] != out[None, :])
     w = None
     if viol_m.any():
-        x, y = (int(v) for v in np.argwhere(viol_m)[0])
+        x, y = _first_true(viol_m)
         w = SententialWitness(
             (cls(x), cls(y)),
             (op.outputs[x], op.outputs[y]),

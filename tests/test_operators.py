@@ -336,7 +336,13 @@ def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
 
     reports = [check_postulate(op, PostulateId.STRONG_RECIPROCITY) for op in ops]
     monkeypatch.setattr(graphs, "strongly_connected_components", _reference_scc)
-    expected = [check_postulate(op, PostulateId.STRONG_RECIPROCITY) for op in ops]
+    # fresh copies: the first reports are memoised on the operators' kernels
+    expected = [
+        check_postulate(
+            ChoiceOperator(op.universe, op.K, op.outputs), PostulateId.STRONG_RECIPROCITY
+        )
+        for op in ops
+    ]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
     # the model-induced operators pass, the random ones fail with a witness
     assert [r.holds for r in reports] == [False] * 4 + [True] * 3 + [False]
