@@ -2,8 +2,10 @@
 seed's constructions.
 
 `_reference_meets` is the n*n*maxk broadcast the kernel used to build,
-`_reference_union_index` the sorted-tuple loop, and `_reference_draw`
-the per-entry BeliefSet draw of `random_operator`.
+`_reference_union_index` the sorted-tuple loop, `_reference_draw`
+the per-entry BeliefSet draw of `random_operator`, `_reference_dichotomy`
+the all-pairs dichotomy scan and `_reference_strong_reciprocity` the
+strong-reciprocity check over the whole input graph's components.
 """
 
 import dataclasses
@@ -13,13 +15,16 @@ import numpy as np
 import pytest
 from test_conjunction import _universe
 
+from choicerev import graphs
 from choicerev.logic import BeliefSet
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
     _CHECKERS,
     ChoiceOperator,
     PostulateId,
+    PostulateReport,
     Witness,
+    _scc_cycle,
     _tables,
     check_equivalences,
     check_postulate,
@@ -63,6 +68,50 @@ def _reference_draw(seed, u):
     return k, [rng.randrange(0, full + 1) for _ in _tables(u).sets]
 
 
+def _reference_dichotomy(op):
+    k = op._kernel()
+    t = k.t
+    n = len(op.outputs)
+    ia, ib = np.triu_indices(n)
+    uidx = t.union_index[ia, ib]
+    valid = uidx >= 0
+    outu = k.out[np.clip(uidx, 0, None)]
+    viol = valid & (outu != k.out[ia]) & (outu != k.out[ib])
+    checked = int(valid.sum())
+    skipped = int((~valid).sum())
+    if not viol.any():
+        return PostulateReport(PostulateId.DICHOTOMY, True, checked, skipped)
+    first = int(np.flatnonzero(viol)[0])
+    a, b, u = int(ia[first]), int(ib[first]), int(uidx[first])
+    w = Witness(
+        (t.sets[a], t.sets[b], t.sets[u]),
+        (op.outputs[a], op.outputs[b], op.outputs[u]),
+        "outcome of the union matches neither part's outcome",
+    )
+    return PostulateReport(PostulateId.DICHOTOMY, False, checked, skipped, witness=w)
+
+
+def _reference_strong_reciprocity(op):
+    k = op._kernel()
+    t = k.t
+    n = len(op.outputs)
+    comps = graphs.strongly_connected_components(k.meets)
+    for comp in comps:
+        first = comp[0]
+        for node in comp[1:]:
+            if k.out[node] != k.out[first]:
+                cycle = _scc_cycle(k.meets, comp, first, node)
+                w = Witness(
+                    tuple(t.sets[i] for i in cycle),
+                    tuple(op.outputs[i] for i in cycle),
+                    "loop of mutually meeting inputs with unequal outcomes",
+                )
+                return PostulateReport(
+                    PostulateId.STRONG_RECIPROCITY, False, n * n, witness=w
+                )
+    return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
+
+
 def _flipped(op, i):
     """op with entry i's outcome changed in one valuation."""
     o = op.outputs[i]
@@ -101,6 +150,34 @@ def test_meets_matches_broadcast_and_loop_at_697():
 def test_union_index_matches_tuple_loop(n):
     t = _tables(_universe(n))
     assert np.array_equal(t.union_index, _reference_union_index(t))
+
+
+_REFERENCES = (
+    (PostulateId.DICHOTOMY, _reference_dichotomy),
+    (PostulateId.STRONG_RECIPROCITY, _reference_strong_reciprocity),
+)
+
+
+@pytest.mark.parametrize("n", [16, 17, 137, 257])
+def test_dichotomy_and_strong_reciprocity_match_references(n):
+    verdicts = {p: set() for p, _ in _REFERENCES}
+    for seed in range(3):
+        for op in _operators(n, seed):
+            for p, reference in _REFERENCES:
+                report = _CHECKERS[p](op)
+                assert report.to_dict() == reference(op).to_dict(), p.value
+                verdicts[p].add(report.holds)
+    # both verdicts, so failing witnesses are compared too; with singleton
+    # inputs only, every in-universe union is trivial and dichotomy holds
+    pair_inputs = _universe(n).max_input_size >= 2
+    assert verdicts[PostulateId.DICHOTOMY] == ({True, False} if pair_inputs else {True})
+    assert verdicts[PostulateId.STRONG_RECIPROCITY] == {True, False}
+
+
+def test_dichotomy_and_strong_reciprocity_match_references_at_697():
+    op = _operators(697)[2]
+    for p, reference in _REFERENCES:
+        assert _CHECKERS[p](op).to_dict() == reference(op).to_dict(), p.value
 
 
 def _first_violating_pair(op, p):
@@ -159,9 +236,11 @@ def test_replaced_operator_gets_its_own_reports():
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
 def test_random_operator_draw_unchanged_and_shared(n):
     u = _universe(n)
-    for seed in range(3):
-        op = random_operator(seed, u)
+    ops = [random_operator(seed, u) for seed in range(3)]
+    for seed, op in enumerate(ops):
         k, masks = _reference_draw(seed, u)
         assert op.K.mask == k
         assert [o.mask for o in op.outputs] == masks
-        assert len({id(o) for o in op.outputs}) <= u.lang.full_mask + 1
+    # one pool per universe, shared by every random table on it
+    held = {id(o) for op in ops for o in op.outputs + (op.K,)}
+    assert len(held) <= u.lang.full_mask + 1

@@ -351,18 +351,38 @@ def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
             assert witness_violates(op, PostulateId.STRONG_RECIPROCITY, r.witness)
 
 
+def _reference_outcome_quotient(k):
+    """The quotient as one scatter over the meets edges."""
+    uniq, inv = np.unique(k.out, return_inverse=True)
+    ge = np.zeros((len(uniq), len(uniq)), dtype=bool)
+    a, b = np.nonzero(k.meets)
+    ge[inv[a], inv[b]] = True
+    return uniq, inv, ge
+
+
 def test_outcome_quotient_matches_group_loop():
-    """The scattered quotient graph equals the per-group-pair block scan."""
+    """The per-group quotient equals the scatter over the meets edges and
+    the per-group-pair block scan.
+
+    n=137 random and model-induced operators, a random n=257 operator
+    (about 150 groups) and a random n=697 operator.
+    """
     u137 = UniverseSpec(LanguageSpec(2), 2)
     ops = [random_operator(seed, u137) for seed in range(2)]
     for seed, size in ((1, 5), (2, 9)):
         m = generate_model(seed, u137.lang, size, ModelFlags())
         ops.append(ChoiceOperator.from_model(m, max_input_size=2))
+    u257 = UniverseSpec(LanguageSpec(3), 1)
+    u697 = UniverseSpec(LanguageSpec(2), 3)
+    assert (u257.size, u697.size) == (257, 697)
+    ops += [random_operator(0, u257), random_operator(0, u697)]
     for op in ops:
         k = op._kernel()
         uniq, inv, ge = k.outcome_quotient()
         assert np.array_equal(uniq, np.unique(k.out))
         assert np.array_equal(uniq[inv], k.out)
+        for got, want in zip((uniq, inv, ge), _reference_outcome_quotient(k)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         groups = [np.flatnonzero(inv == i) for i in range(len(uniq))]
         want = np.array([
             [k.meets[np.ix_(gi, gj)].any() for gj in groups] for gi in groups
