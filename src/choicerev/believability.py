@@ -38,6 +38,7 @@ from .operators import (
     OutsideUniverseError,
     UniverseSpec,
     _first_true,
+    _row_blocks,
     _tables,
 )
 
@@ -212,6 +213,7 @@ class MultiBelievabilityRelation:
         self._fn = fn
         self._memo: dict[tuple, bool] = {}
         self._table_cache: dict[UniverseSpec, np.ndarray] = {}
+        self._rows: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._base: Optional[BelievabilityRelation] = None
 
     def holds(self, a: InputSet, b: InputSet) -> bool:
@@ -232,6 +234,33 @@ class MultiBelievabilityRelation:
         if got is None:
             got = self._table_cache[u] = self._materialize(u)
         return got
+
+    def _revision_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Relation-driven revision of every input of the universe at once.
+
+        Returns strict, mask and closed, one entry per input A: A ranks
+        strictly above the empty set; the meet of the classes x whose
+        adjunction A conj {x} keeps A's rank; and whether the chosen
+        classes are exactly those entailed by that meet.  A conj {x} lies
+        in the universe, at conj_index[a, singleton_index[x]], so the
+        choice is one n*c gather from eq = m & m.T.  With max_input_size 0
+        the only input is the empty set, which is never strict, so its
+        row is never read.  Computed once and kept on the relation.
+        """
+        if self._rows is None:
+            u = self.universe
+            t = _tables(u)
+            m = self.table_over(u)
+            e = t.empty_index
+            full = u.lang.full_mask
+            x = np.arange(full + 1)
+            eq = m & m.T
+            adjoined = t.conj_index[:, t.singleton_index]
+            chosen = eq[np.arange(len(t.sets))[:, None], adjoined]
+            mask = np.bitwise_and.reduce(np.where(chosen, x, full), axis=1)
+            closed = (((mask[:, None] & ~x & full) == 0) == chosen).all(axis=1)
+            self._rows = (m[:, e] & ~m[e, :], mask, closed)
+        return self._rows
 
     def _materialize(self, u: UniverseSpec) -> np.ndarray:
         if self._base is not None:
@@ -362,8 +391,25 @@ def revise_via_mb(
     When the input is strictly easier to accept than the empty set, the
     outcome's theory collects every class whose adjunction leaves the
     input's rank unchanged; otherwise the prior state is kept.  The
-    collected theory must be deductively closed.
+    collected theory must be deductively closed, else
+    RelationOperationError.
+
+    A relation with a universe answers from one row of its revision
+    table (MultiBelievabilityRelation._revision_rows), computed for every
+    input on the first call and kept on the relation; an input outside
+    the universe raises OutsideUniverseError.  An unbounded relation (a
+    lift) builds each adjunction member by member.
     """
+    if mb.universe is not None:
+        i = _tables(mb.universe).index.get(a.mask_tuple)
+        if i is None:
+            raise OutsideUniverseError(a)
+        strict, mask, closed = mb._revision_rows()
+        if not strict[i]:
+            return k
+        if not closed[i]:
+            raise RelationOperationError("result not closed")
+        return BeliefSet(k.lang, int(mask[i]))
     lang = k.lang
     empty = InputSet.empty(lang)
     if not (mb.holds(a, empty) and not mb.holds(empty, a)):
@@ -549,44 +595,34 @@ def _check_multi(
         return report(False, checked, skipped, w)
 
     if p == RelationPostulateId.WEAK_COUPLING:
+        # one conclusion row per distinct pair (A, A conj B), not per cell
+        # (a, b); checked and skipped are per-universe sums of
+        # multiplicity times evaluable d (see _Tables.conj_pairs)
         eq = m & m.T
         c2 = t.conj_index
-        checked = 0
-        skipped = 0
-        first = None
-        for a in range(n):
-            row2 = c2[a]
-            ok2 = row2 >= 0
-            prem = np.zeros(n, dtype=bool)
-            prem[ok2] = eq[a, row2[ok2]]
-            # A conj B conj D by associativity; rows where A conj B is
-            # outside the universe are masked off by ok2
-            tgt = c2[np.clip(row2, 0, None)]
-            ok3 = tgt >= 0
-            evaluable = ok2[:, None] & ok2[None, :] & ok3
-            checked += int(evaluable.sum())
-            skipped += n * n - int(evaluable.sum())
-            concl = eq[a, np.clip(tgt, 0, None)]
-            viol = evaluable & prem[:, None] & prem[None, :] & ~concl
-            if first is None and viol.any():
-                b, d = _first_true(viol)
-                first = RelationWitness(
-                    (sets[a], sets[b], sets[d]),
-                    "both pairwise adjunctions keep rank but the triple one drops it",
-                )
-        if first is None:
+        pa, pv, pair_of, checked, skipped = t.conj_pairs
+        # prem[a, d]: A conj D lies in the universe and keeps A's rank
+        prem = (c2 >= 0) & eq[np.arange(n)[:, None], c2]
+        live = np.flatnonzero(eq[pa, pv])
+        bad = np.zeros(len(pa), dtype=bool)
+        for blk in _row_blocks(len(live), n):
+            q = live[blk]
+            tgt = c2[pv[q]]
+            concl = eq[pa[q][:, None], tgt]
+            bad[q] = (prem[pa[q]] & (tgt >= 0) & ~concl).any(axis=1)
+        if not bad.any():
             return report(True, checked, skipped)
-        return report(False, checked, skipped, first)
+        a, b = _first_true((pair_of >= 0) & bad[pair_of])
+        tgt = c2[pv[pair_of[a, b]]]
+        d = int(np.flatnonzero(prem[a] & (tgt >= 0) & ~eq[a, tgt])[0])
+        w = RelationWitness(
+            (sets[a], sets[b], sets[d]),
+            "both pairwise adjunctions keep rank but the triple one drops it",
+        )
+        return report(False, checked, skipped, w)
 
     if p == RelationPostulateId.COUNTER_DOMINANCE:
-        masks = np.arange(lang.full_mask + 1)
-        ent = (masks[:, None] & ~masks[None, :] & lang.full_mask) == 0
-        mem = t.member
-        look = ent[mem[None, :, :, None], mem[:, None, None, :]]
-        v_a = t.valid[:, None, None, :]
-        exists = (look & v_a).any(axis=3)
-        ante = (exists | ~t.valid[None, :, :]).all(axis=2)
-        viol = ante & ~m
+        viol = t.counter_dominance_ante & ~m
         if not viol.any():
             return report(True, n * n)
         a, b = _first_true(viol)
@@ -663,18 +699,13 @@ def _check_multi(
         return report(False, n, witness=w)
 
     if p == RelationPostulateId.UNION:
-        uidx = t.union_index
-        ia, ib = np.triu_indices(n)
-        flat = uidx[ia, ib]
-        ok = flat >= 0
-        target = np.clip(flat, 0, None)
-        viol = ok & ~m[ia, target] & ~m[ib, target]
-        checked = int(ok.sum())
-        skipped = int((~ok).sum())
+        ia, ib, iu, skipped = t.union_triples
+        viol = ~m[ia, iu] & ~m[ib, iu]
+        checked = len(iu)
         if not viol.any():
             return report(True, checked, skipped)
-        first = int(np.flatnonzero(viol)[0])
-        a, b, uu = int(ia[first]), int(ib[first]), int(flat[first])
+        first = _first_true(viol)[0]
+        a, b, uu = int(ia[first]), int(ib[first]), int(iu[first])
         w = RelationWitness(
             (sets[a], sets[b], sets[uu]),
             "neither part ranks at least as high as the union",
@@ -722,6 +753,10 @@ def random_quasi_linear(seed: int, lang: LanguageSpec) -> BelievabilityRelation:
     contradiction class strictly to the top, rank the remaining classes
     by noisy scores that respect entailment, then merge layers until the
     conjunction-compatibility postulates hold.  Validated post hoc.
+
+    Supports languages of 1 or 2 atoms.  With 3 atoms every draw puts two
+    classes whose conjunction is the contradiction into one layer, the
+    merge gives up, and after 500 draws GenerationError is raised.
     """
     lang.require_exhaustive()
     rng = random.Random(seed)

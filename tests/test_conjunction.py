@@ -1,9 +1,12 @@
-"""The pairwise-conjunction table and weak coupling against slow references.
+"""The pairwise-conjunction table and the relation checks built on the
+universe tables, against slow references.
 
 The references build every conjunction member by member as a frozenset
-and look it up by its sorted member masks; weak coupling's reference
-reads triple conjunctions from its own n^3 table instead of gathering
-them through the pairwise one.
+and look it up by its sorted member masks; weak coupling's first
+reference reads triple conjunctions from its own n^3 table, and its
+second walks one row of conjunctions at a time, n^2 work per row, which
+still runs at n=697.  Counter dominance and union are checked against
+their n*n*k*k broadcast and upper-triangle scan.
 """
 
 import random
@@ -31,6 +34,8 @@ from choicerev.operators import (
 )
 
 WC = RelationPostulateId.WEAK_COUPLING
+CD = RelationPostulateId.COUNTER_DOMINANCE
+UNION = RelationPostulateId.UNION
 
 # (atoms, max_input_size) -> n = 16, 17, 137, 257, 697
 SPECS = {16: (1, 4), 17: (2, 1), 137: (2, 2), 257: (3, 1), 697: (2, 3)}
@@ -118,6 +123,104 @@ def _reference_weak_coupling(rel, u, c2, c3):
     return RelationReport(WC, "multi", first is None, checked, skipped, first)
 
 
+def _row_loop_weak_coupling(rel, u):
+    """Weak coupling one row a at a time, over every (b, d)."""
+    t = _tables(u)
+    m = rel.table_over(u)
+    sets = t.sets
+    n = len(sets)
+    eq = m & m.T
+    c2 = t.conj_index
+    checked = skipped = 0
+    first = None
+    for a in range(n):
+        row2 = c2[a]
+        ok2 = row2 >= 0
+        prem = np.zeros(n, dtype=bool)
+        prem[ok2] = eq[a, row2[ok2]]
+        tgt = c2[np.clip(row2, 0, None)]
+        ok3 = tgt >= 0
+        evaluable = ok2[:, None] & ok2[None, :] & ok3
+        checked += int(evaluable.sum())
+        skipped += n * n - int(evaluable.sum())
+        concl = eq[a, np.clip(tgt, 0, None)]
+        viol = evaluable & prem[:, None] & prem[None, :] & ~concl
+        if first is None and viol.any():
+            b, d = (int(v) for v in np.argwhere(viol)[0])
+            first = RelationWitness(
+                (sets[a], sets[b], sets[d]),
+                "both pairwise adjunctions keep rank but the triple one drops it",
+            )
+    return RelationReport(WC, "multi", first is None, checked, skipped, first)
+
+
+def _reference_counter_dominance_ante(t, lang):
+    """ante[a, b] as an n*n*k*k broadcast over member pairs."""
+    masks = np.arange(lang.full_mask + 1)
+    ent = (masks[:, None] & ~masks[None, :] & lang.full_mask) == 0
+    mem = t.member
+    look = ent[mem[None, :, :, None], mem[:, None, None, :]]
+    exists = (look & t.valid[:, None, None, :]).any(axis=3)
+    return (exists | ~t.valid[None, :, :]).all(axis=2)
+
+
+def _reference_counter_dominance(rel, u):
+    t = _tables(u)
+    viol = _reference_counter_dominance_ante(t, u.lang) & ~rel.table_over(u)
+    n = len(t.sets)
+    if not viol.any():
+        return RelationReport(CD, "multi", True, n * n)
+    a, b = (int(v) for v in np.argwhere(viol)[0])
+    w = RelationWitness(
+        (t.sets[a], t.sets[b]),
+        "every member of the second set entails some member of the first, yet the first does not rank at least as high",
+    )
+    return RelationReport(CD, "multi", False, n * n, 0, w)
+
+
+def _reference_union(rel, u):
+    """Every pair a <= b in upper-triangle order, unions read from union_index."""
+    t = _tables(u)
+    m = rel.table_over(u)
+    ia, ib = np.triu_indices(len(t.sets))
+    flat = t.union_index[ia, ib]
+    ok = flat >= 0
+    target = np.clip(flat, 0, None)
+    viol = ok & ~m[ia, target] & ~m[ib, target]
+    checked, skipped = int(ok.sum()), int((~ok).sum())
+    if not viol.any():
+        return RelationReport(UNION, "multi", True, checked, skipped)
+    i = int(np.flatnonzero(viol)[0])
+    w = RelationWitness(
+        (t.sets[ia[i]], t.sets[ib[i]], t.sets[flat[i]]),
+        "neither part ranks at least as high as the union",
+    )
+    return RelationReport(UNION, "multi", False, checked, skipped, w)
+
+
+def _break_weak_coupling(rel, u):
+    """rel's table with one entry cleared so that weak coupling fails.
+
+    Takes the first input A (scan order) and classes x < y such that
+    A conj {x}, A conj {y} and T = A conj {x & y} all rank with A, T
+    being a fourth set, and clears m[A, T]: (A, {x}, {y}) then keeps
+    both premises and loses the conclusion.
+    """
+    t = _tables(u)
+    m = rel.table_over(u).copy()
+    eq = m & m.T
+    adj = t.conj_index[:, t.singleton_index]
+    c = u.class_count
+    for a in range(len(t.sets)):
+        for x in range(c):
+            for y in range(x + 1, c):
+                v, w, tt = adj[a, x], adj[a, y], adj[a, x & y]
+                if eq[a, v] and eq[a, w] and eq[a, tt] and tt not in (a, v, w):
+                    m[a, tt] = False
+                    return MultiBelievabilityRelation.from_table(u, m)
+    raise AssertionError("no triple to break")
+
+
 def _models(lang, count, seed):
     rng = random.Random(seed)
     out = []
@@ -174,3 +277,65 @@ def test_weak_coupling_matches_triple_table(n, references):
         verdicts.add(got.holds)
     # both verdicts occur, so witnesses are compared too
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [16, 137])
+def test_weak_coupling_witness_in_cell_order(n, references):
+    """Relations that are all True but for one row a whose distinct
+    conjunctions A conj B first occur out of index order.  The witness
+    is the first failing cell (a, b) in scan order, which need not be a
+    cell of the failing conjunction with the smallest index."""
+    u = _universe(n)
+    c2, c3 = references[n]
+    rng = np.random.default_rng(n)
+    rows = []
+    for a in range(n):
+        _, first = np.unique(c2[a][c2[a] >= 0], return_index=True)
+        if (np.diff(first) < 0).any():
+            rows.append(a)
+    verdicts = set()
+    for a in rows[:3]:
+        for _ in range(8):
+            m = np.ones((n, n), dtype=bool)
+            m[a] = rng.random(n) < 0.7
+            rel = MultiBelievabilityRelation.from_table(u, m)
+            got = _check_multi(rel, WC, u)
+            assert got.to_dict() == _reference_weak_coupling(rel, u, c2, c3).to_dict()
+            verdicts.add(got.holds)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("n", [257, 697])
+def test_weak_coupling_matches_row_loop_at_full_size(n):
+    """Beyond the n^3 table's reach: a derived relation and a one-entry
+    flip of it that breaks weak coupling."""
+    u = _universe(n)
+    model = _models(u.lang, 1, seed=n)[0]
+    derived = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
+    verdicts = set()
+    for rel in (derived, _break_weak_coupling(derived, u)):
+        got = _check_multi(rel, WC, u)
+        assert got.to_dict() == _row_loop_weak_coupling(rel, u).to_dict()
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_counter_dominance_and_union_match_references(n):
+    u = _universe(n)
+    verdicts = {CD: set(), UNION: set()}
+    for rel in _corpus(u, seed=n):
+        for p, reference in ((CD, _reference_counter_dominance), (UNION, _reference_union)):
+            got = _check_multi(rel, p, u)
+            assert got.to_dict() == reference(rel, u).to_dict()
+            verdicts[p].add(got.holds)
+    assert verdicts == {CD: {True, False}, UNION: {True, False}}
+
+
+@pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
+def test_counter_dominance_ante_matches_broadcast(n):
+    u = _universe(n)
+    t = _tables(u)
+    want = _reference_counter_dominance_ante(t, u.lang)
+    assert t.counter_dominance_ante.flags.c_contiguous
+    assert np.array_equal(t.counter_dominance_ante, want)
