@@ -1082,13 +1082,14 @@ def relation_to_json(
     u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
-    # encode each set once, not once per pair it appears in
+    # encode each set once, not once per pair it appears in; walk each
+    # row's nonzero columns, in row-major order, so that no index list
+    # longer than one row is held next to the pair list
     encoded = [s.encode() for s in t.sets]
     pairs = [
         [encoded[i], encoded[j]]
-        for i in range(len(t.sets))
-        for j in range(len(t.sets))
-        if m[i, j]
+        for i, row in enumerate(m)
+        for j in np.flatnonzero(row).tolist()
     ]
     return {
         "atoms": u.lang.atom_count,

@@ -41,7 +41,7 @@ from .logic import (
     LanguageSpec,
     SentenceClass,
 )
-from .models import RelationalModel, choice_revise_via_model
+from .models import RelationalModel
 from .operators import (
     BASIC_POSTULATES,
     SUPPLEMENTARY_POSTULATES,
@@ -49,9 +49,9 @@ from .operators import (
     PostulateId,
     UniverseSpec,
     _first_true,
+    _model_rows,
     _tables,
     check_postulates,
-    enumerate_universe,
 )
 
 THEOREM_IDS = (1, 2, 3, 4, 5)
@@ -180,23 +180,28 @@ def verify_roundtrip_model(
             universe=header,
         )
     artifact = model.to_json()
-    for a in enumerate_universe(op.universe):
-        regenerated = choice_revise_via_model(model, a)
-        expected = op.outcome(a)
-        if regenerated != expected:
-            return RoundTripReport(
-                theorem,
-                False,
-                "regenerated outcome differs",
-                witness={
-                    "kind": "mismatch",
-                    "input": a.encode(),
-                    "expected": expected.encode(),
-                    "regenerated": regenerated.encode(),
-                },
-                artifact=artifact,
-                universe=header,
-            )
+    # replay every input at once through the model's revision table; the
+    # first mismatch in scan order is the first one an input-by-input
+    # choice_revise_via_model replay would meet
+    rows = _model_rows(model, op.universe)
+    choices = model.outcomes + (model.K,)
+    masks = np.array([o.mask for o in choices], dtype=np.int64)
+    bad = masks[rows] != op._kernel().out
+    if bad.any():
+        (i,) = _first_true(bad)
+        return RoundTripReport(
+            theorem,
+            False,
+            "regenerated outcome differs",
+            witness={
+                "kind": "mismatch",
+                "input": _tables(op.universe).sets[i].encode(),
+                "expected": op.outputs[i].encode(),
+                "regenerated": choices[rows[i]].encode(),
+            },
+            artifact=artifact,
+            universe=header,
+        )
     if require_extended:
         from .models import check_extended_conditions
 

@@ -6,9 +6,11 @@ and look it up by its sorted member masks; weak coupling's first
 reference reads triple conjunctions from its own n^3 table, and its
 second walks one row of conjunctions at a time, n^2 work per row, which
 still runs at n=697.  Counter dominance and union are checked against
-their n*n*k*k broadcast and upper-triangle scan.
+their n*n*k*k broadcast and an upper-triangle scan over the seed's
+sorted-tuple union index (`_reference_union_index`).
 """
 
+import functools
 import random
 
 import numpy as np
@@ -46,6 +48,19 @@ def _universe(n):
     u = UniverseSpec(LanguageSpec(atoms), k)
     assert u.size == n
     return u
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_union_index(t):
+    """Universe index of each pairwise union, -1 outside: the sorted-tuple loop."""
+    n = len(t.sets)
+    out = np.full((n, n), -1, dtype=np.int32)
+    for a in range(n):
+        ta = t.sets[a].mask_tuple
+        for b in range(a, n):
+            merged = tuple(sorted(set(ta) | set(t.sets[b].mask_tuple)))
+            out[a, b] = out[b, a] = t.index.get(merged, -1)
+    return out
 
 
 def _reference_conj_sets(t):
@@ -179,11 +194,12 @@ def _reference_counter_dominance(rel, u):
 
 
 def _reference_union(rel, u):
-    """Every pair a <= b in upper-triangle order, unions read from union_index."""
+    """Every pair a <= b in upper-triangle order, unions read from the
+    reference union index."""
     t = _tables(u)
     m = rel.table_over(u)
     ia, ib = np.triu_indices(len(t.sets))
-    flat = t.union_index[ia, ib]
+    flat = _reference_union_index(t)[ia, ib]
     ok = flat >= 0
     target = np.clip(flat, 0, None)
     viol = ok & ~m[ia, target] & ~m[ib, target]

@@ -2,7 +2,8 @@
 seed's constructions.
 
 `_reference_meets` is the n*n*maxk broadcast the kernel used to build,
-`_reference_union_index` the sorted-tuple loop, `_reference_draw`
+`_reference_union_index` (in test_conjunction) the sorted-tuple loop,
+`_reference_subset` the n*n subset loop, `_reference_draw`
 the per-entry BeliefSet draw of `random_operator`, `_reference_dichotomy`
 the all-pairs dichotomy scan and `_reference_strong_reciprocity` the
 strong-reciprocity check over the whole input graph's components.
@@ -13,10 +14,10 @@ import random
 
 import numpy as np
 import pytest
-from test_conjunction import _universe
+from test_conjunction import _reference_union_index, _universe
 
 from choicerev import graphs
-from choicerev.logic import BeliefSet
+from choicerev.logic import BeliefSet, LanguageSpec
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
     _CHECKERS,
@@ -49,14 +50,14 @@ def _loop_meets(op):
     return np.array([[theory_meets(a, o) for o in op.outputs] for a in sets])
 
 
-def _reference_union_index(t):
+def _reference_subset(t):
+    """subset[a, b]: A_a is a subset of A_b; the seed's n*n class-bitset loop."""
     n = len(t.sets)
-    out = np.full((n, n), -1, dtype=np.int32)
+    bits = [sum(1 << m for m in s.mask_tuple) for s in t.sets]
+    out = np.zeros((n, n), dtype=bool)
     for a in range(n):
-        ta = t.sets[a].mask_tuple
-        for b in range(a, n):
-            merged = tuple(sorted(set(ta) | set(t.sets[b].mask_tuple)))
-            out[a, b] = out[b, a] = t.index.get(merged, -1)
+        ba = bits[a]
+        out[a] = [ba & ~bb == 0 for bb in bits]
     return out
 
 
@@ -73,7 +74,7 @@ def _reference_dichotomy(op):
     t = k.t
     n = len(op.outputs)
     ia, ib = np.triu_indices(n)
-    uidx = t.union_index[ia, ib]
+    uidx = _reference_union_index(t)[ia, ib]
     valid = uidx >= 0
     outu = k.out[np.clip(uidx, 0, None)]
     viol = valid & (outu != k.out[ia]) & (outu != k.out[ib])
@@ -148,8 +149,32 @@ def test_meets_matches_broadcast_and_loop_at_697():
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
 def test_union_index_matches_tuple_loop(n):
+    """The in-universe union triples, gathered from each input's subsets,
+    are the upper-triangle scan of the sorted-tuple union index."""
     t = _tables(_universe(n))
-    assert np.array_equal(t.union_index, _reference_union_index(t))
+    ref = _reference_union_index(t)
+    ia, ib = np.triu_indices(n)
+    flat = ref[ia, ib]
+    inside = flat >= 0
+    got_a, got_b, got_u, skipped = t.union_triples
+    assert np.array_equal(got_a, ia[inside])
+    assert np.array_equal(got_b, ib[inside])
+    assert np.array_equal(got_u, flat[inside])
+    assert skipped == int((~inside).sum())
+
+
+@pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
+def test_subset_pairs_match_subset_loop(n):
+    t = _tables(_universe(n))
+    sub, sup = t.subset_pairs
+    want_sub, want_sup = np.nonzero(_reference_subset(t))
+    assert np.array_equal(sub, want_sub) and np.array_equal(sup, want_sup)
+    # each input's row of subsets lists exactly its subsets
+    for a, s in enumerate(t.sets):
+        row = t.subsets[a]
+        assert sorted(row[row >= 0].tolist()) == sorted(
+            i for i, x in enumerate(t.sets) if x.issubset(s)
+        )
 
 
 _REFERENCES = (
@@ -244,3 +269,69 @@ def test_random_operator_draw_unchanged_and_shared(n):
     # one pool per universe, shared by every random table on it
     held = {id(o) for op in ops for o in op.outputs + (op.K,)}
     assert len(held) <= u.lang.full_mask + 1
+
+
+def _reference_reciprocity(op):
+    """(holds, checked, first witness) from the definition: every pair of
+    inputs, each meeting the other's outcome, has equal outcomes."""
+    sets = _tables(op.universe).sets
+    outs = op.outputs
+    n = len(sets)
+    for a in range(n):
+        for b in range(n):
+            if (
+                theory_meets(sets[a], outs[b])
+                and theory_meets(sets[b], outs[a])
+                and outs[a] != outs[b]
+            ):
+                return False, n * n, (sets[a], sets[b])
+    return True, n * n, None
+
+
+def _verdict(report):
+    return report.holds, report.checked, report.witness.inputs if report.witness else None
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_reciprocity_matches_definition(n):
+    verdicts = set()
+    for seed in range(3):
+        for op in _operators(n, seed):
+            report = _CHECKERS[PostulateId.RECIPROCITY](op)
+            assert _verdict(report) == _reference_reciprocity(op)
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
+def test_reciprocity_matches_definition_at_697():
+    op = _operators(697)[2]
+    assert _verdict(_CHECKERS[PostulateId.RECIPROCITY](op)) == _reference_reciprocity(op)
+
+
+def _reference_closure(op):
+    """The seed's per-input language scan."""
+    for i, o in enumerate(op.outputs):
+        if o.lang != op.lang:
+            t = _tables(op.universe)
+            w = Witness((t.sets[i],), (o,), "outcome over a different language")
+            return PostulateReport(PostulateId.CLOSURE, False, len(op.outputs), witness=w)
+    return PostulateReport(PostulateId.CLOSURE, True, len(op.outputs))
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_closure_flags_foreign_language_output(n):
+    u = _universe(n)
+    sets = _tables(u).sets
+    for op in _operators(n):
+        assert _CHECKERS[PostulateId.CLOSURE](op) == _reference_closure(op)
+        # two foreign entries holding one object, and the first in scan
+        # order behind an entry that only shares its mask
+        foreign = BeliefSet(LanguageSpec(u.lang.atom_count + 1), op.outputs[3].mask)
+        outputs = list(op.outputs)
+        outputs[n - 1] = outputs[5] = foreign
+        bad = ChoiceOperator(u, op.K, tuple(outputs))
+        report = _CHECKERS[PostulateId.CLOSURE](bad)
+        assert report == _reference_closure(bad)
+        assert not report.holds and report.checked == n
+        assert report.witness.inputs == (sets[5],)
+        assert report.witness.outcomes[0] is foreign
