@@ -76,7 +76,6 @@ QUASI_LINEAR_POSTULATES = (
 STANDARD_POSTULATES = tuple(RelationPostulateId)
 
 # the ones whose set-level form needs constructed conjunction sets
-_SINGLE_ONLY = ()
 _MULTI_ONLY = (RelationPostulateId.DETERMINATION, RelationPostulateId.UNION)
 
 
@@ -193,23 +192,16 @@ class BelievabilityRelation:
 # ---------------------------------------------------------------------------
 
 class MultiBelievabilityRelation:
-    """Set-level comparison with memoized point queries.
-
-    kind is "table" (bounded, explicit matrix), "lifted" (unbounded,
-    backed by a single-sentence relation), or "operator" (bounded,
-    derived from a revision operator's table).
-    """
+    """Set-level comparison with memoized point queries."""
 
     def __init__(
         self,
         lang: LanguageSpec,
         fn: Callable[[InputSet, InputSet], bool],
         universe: Optional[UniverseSpec] = None,
-        kind: str = "custom",
     ):
         self.lang = lang
         self.universe = universe
-        self.kind = kind
         self._fn = fn
         self._memo: dict[tuple, bool] = {}
         self._table_cache: dict[UniverseSpec, np.ndarray] = {}
@@ -274,9 +266,7 @@ class MultiBelievabilityRelation:
         return out
 
     @classmethod
-    def from_table(
-        cls, u: UniverseSpec, matrix: np.ndarray, kind: str = "table"
-    ) -> "MultiBelievabilityRelation":
+    def from_table(cls, u: UniverseSpec, matrix: np.ndarray) -> "MultiBelievabilityRelation":
         t = _tables(u)
         n = len(t.sets)
         if matrix.shape != (n, n):
@@ -292,7 +282,7 @@ class MultiBelievabilityRelation:
                 raise OutsideUniverseError(b)
             return bool(m[ia, ib])
 
-        rel = cls(u.lang, fn, universe=u, kind=kind)
+        rel = cls(u.lang, fn, universe=u)
         rel._table_cache[u] = m
         return rel
 
@@ -324,7 +314,7 @@ def lift(base: BelievabilityRelation) -> MultiBelievabilityRelation:
             all(base.holds(x, y) for y in b.classes) for x in a.classes
         )
 
-    rel = MultiBelievabilityRelation(base.lang, fn, universe=None, kind="lifted")
+    rel = MultiBelievabilityRelation(base.lang, fn, universe=None)
     rel._base = base
     return rel
 
@@ -359,7 +349,7 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
     uniq, inv, ge = k.outcome_quotient()
     reach = graphs.reachability(ge) | np.eye(len(uniq), dtype=bool)
     m = (~k.diag)[None, :] | (k.diag[:, None] & reach[inv[:, None], inv[None, :]])
-    return MultiBelievabilityRelation.from_table(op.universe, m, kind="operator")
+    return MultiBelievabilityRelation.from_table(op.universe, m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .believability import (
     MultiBelievabilityRelation,
     RelationFormatError,
     RelationPostulateId,
+    _MULTI_ONLY,
     check_relation_postulate,
     lift,
     load_relation,
@@ -212,10 +213,7 @@ def _cmd_check(args) -> int:
         return 0 if payload["all_hold"] else 1
     rel = load_relation(args.relation)
     if isinstance(rel, BelievabilityRelation):
-        ids = [
-            p for p in RelationPostulateId
-            if p not in (RelationPostulateId.DETERMINATION, RelationPostulateId.UNION)
-        ]
+        ids = [p for p in RelationPostulateId if p not in _MULTI_ONLY]
         wanted = _postulate_selection(args.postulates, ids)
         u = None
         atoms = rel.lang.atom_count
@@ -285,9 +283,7 @@ def _cmd_translate(args) -> int:
             print("error: lift expects a single-sentence relation", file=sys.stderr)
             return 2
         u = UniverseSpec(rel.lang, args.max_input_size)
-        result = MultiBelievabilityRelation.from_table(
-            u, lift(rel).table_over(u), kind="lifted"
-        )
+        result = MultiBelievabilityRelation.from_table(u, lift(rel).table_over(u))
     else:
         if not isinstance(rel, MultiBelievabilityRelation):
             print("error: project expects a set-level relation", file=sys.stderr)

@@ -8,7 +8,9 @@ disjunction of B(phi) over phi in A; a belief set satisfies it exactly
 when its theory meets A.
 
 Concrete syntax:  B(p0) & !B(p1 -> p0), members of a composite separated
-by commas.  Operator binding, tightest first: !, &, |, -> (right-assoc).
+by commas.  The connectives are the formula grammar's (logic.py), with
+! for negation; this module adds only the B(formula) leaf and the
+composite.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .logic import (
     BeliefSet,
     InputSet,
     LanguageSpec,
-    ParseError,
     SentenceClass,
-    _Parser,
+    _Cursor,
+    _Grammar,
+    class_of,
     entails,
     format_formula,
     parse_formula,
@@ -102,88 +105,28 @@ def choice_descriptor(a: InputSet) -> Molecular:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-class _DescParser:
-    def __init__(self, text: str, lang: LanguageSpec):
-        self.text = text
-        self.lang = lang
-        self.pos = 0
+def _bel_leaf(cur: _Cursor, ch: str) -> Union[BelAtom, None]:
+    if ch != "B":
+        return None
+    return BelAtom(class_of(cur.applied("B"), cur.lang))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _bel_text(node: BelAtom) -> str:
+    # a canonical formula for the class: disjunction of minterms
+    return f"B({_class_text(node.cls)})"
 
-    def parse_composite(self) -> Descriptor:
-        members = [self.parse_implies()]
-        while self.peek() == ",":
-            self.pos += 1
-            members.append(self.parse_implies())
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return frozenset(members)
 
-    def parse_implies(self) -> Molecular:
-        left = self.parse_or()
-        self.skip_ws()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
-            return DescImplies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Molecular:
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.pos += 1
-            node = DescOr(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Molecular:
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.pos += 1
-            node = DescAnd(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Molecular:
-        ch = self.peek()
-        if ch == "!":
-            self.pos += 1
-            return DescNot(self.parse_unary())
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_implies()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        if ch == "B":
-            self.pos += 1
-            if self.peek() != "(":
-                raise ParseError("expected '(' after 'B'", self.pos)
-            self.pos += 1
-            # hand off to the formula parser at the current offset
-            sub = _Parser(self.text, self.lang)
-            sub.pos = self.pos
-            formula = sub.parse_implies()
-            self.pos = sub.pos
-            if self.peek() != ")":
-                raise ParseError("expected ')' closing 'B('", self.pos)
-            self.pos += 1
-            from .logic import class_of
-
-            return BelAtom(class_of(formula, self.lang))
-        if ch == "":
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected {ch!r}", self.pos)
+_DESCRIPTOR = _Grammar("!", DescNot, DescAnd, DescOr, DescImplies, _bel_leaf, _bel_text)
 
 
 def parse_descriptor(text: str, lang: LanguageSpec) -> Descriptor:
     """Parse a composite descriptor (comma-separated molecular members)."""
-    return _DescParser(text, lang).parse_composite()
+    cur = _Cursor(text, lang)
+    members = [cur.expression(_DESCRIPTOR)]
+    while cur.accept(","):
+        members.append(cur.expression(_DESCRIPTOR))
+    cur.finish()
+    return frozenset(members)
 
 
 def parse_molecular(text: str, lang: LanguageSpec) -> Molecular:
@@ -193,28 +136,8 @@ def parse_molecular(text: str, lang: LanguageSpec) -> Molecular:
     return next(iter(d))
 
 
-_PREC = {DescImplies: 1, DescOr: 2, DescAnd: 3, DescNot: 4}
-
-
 def format_molecular(d: Molecular) -> str:
-    def render(node: Molecular, parent_prec: int, right_of_implies: bool) -> str:
-        if isinstance(node, BelAtom):
-            # render a canonical formula for the class: disjunction of minterms
-            return f"B({_class_text(node.cls)})"
-        if isinstance(node, DescNot):
-            return "!" + render(node.child, _PREC[DescNot], False)
-        prec = _PREC[type(node)]
-        if isinstance(node, DescImplies):
-            body = render(node.left, prec + 1, False) + " -> " + render(node.right, prec, True)
-        elif isinstance(node, DescOr):
-            body = render(node.left, prec, False) + " | " + render(node.right, prec + 1, False)
-        else:
-            body = render(node.left, prec, False) + " & " + render(node.right, prec + 1, False)
-        if prec < parent_prec or (prec == parent_prec and not right_of_implies and isinstance(node, DescImplies)):
-            return "(" + body + ")"
-        return body
-
-    return render(d, 0, False)
+    return _DESCRIPTOR.format(d)
 
 
 def format_descriptor(descriptor: Descriptor) -> str:
@@ -240,8 +163,6 @@ def formula_for_class(c: SentenceClass) -> str:
     """Readable source text denoting exactly this class."""
     text = _class_text(c)
     # sanity: the text must parse back to the same class
-    from .logic import class_of
-
     assert class_of(parse_formula(text, c.lang), c.lang) == c
     return text
 

@@ -145,126 +145,175 @@ def evaluate(formula: Formula, valuation: int) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-class _Parser:
-    """Recursive descent over: `->` (loosest, right-assoc), `|`, `&`, `~` (tightest)."""
+class _Grammar:
+    """One syntax over the shared connectives.
+
+    A grammar names its negation character, its four node constructors
+    (also the node classes the renderer dispatches on), a leaf rule and a
+    leaf renderer.  The leaf rule gets the cursor, sitting on `ch`, and
+    returns a node, or None when `ch` starts no leaf.  Everything else,
+    from precedence to error messages, is `_Cursor` and `format`.
+    """
+
+    def __init__(self, negation, not_, and_, or_, implies, leaf, leaf_text):
+        self.negation = negation
+        self.not_, self.and_, self.or_, self.implies = not_, and_, or_, implies
+        self.leaf = leaf
+        self.leaf_text = leaf_text
+        # binding, loosest first; unary negation binds tightest
+        self._ranks = {
+            implies: (1, " -> "), or_: (2, " | "), and_: (3, " & "), not_: (4, negation)
+        }
+
+    def format(self, node) -> str:
+        """Render with minimal parentheses; parses back to the same tree."""
+        return self._render(node, 0)
+
+    def _render(self, node, parent: int) -> str:
+        rank = self._ranks.get(type(node))
+        if rank is None:
+            return self.leaf_text(node)
+        prec, symbol = rank
+        if prec == 4:
+            return symbol + self._render(node.child, 4)
+        if prec == 1:
+            # right-associative: only the right child may carry another bare ->
+            body = self._render(node.left, 2) + symbol + self._render(node.right, 1)
+        else:
+            body = self._render(node.left, prec) + symbol + self._render(node.right, prec + 1)
+        return "(" + body + ")" if prec < parent else body
+
+
+class _Cursor:
+    """Recursive descent over: `->` (loosest, right-assoc), `|`, `&`, negation.
+
+    One cursor walks one text; the grammar is an argument, so a leaf can
+    parse a sub-expression of another grammar at the current offset.
+    """
 
     def __init__(self, text: str, lang: LanguageSpec):
         self.text = text
         self.lang = lang
         self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next non-space character, or "" at the end; skips to it."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
 
-    def parse(self) -> Formula:
-        node = self.parse_implies()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return node
+    def accept(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
 
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        self.skip_ws()
-        if self.text.startswith("->", self.pos):
+    def expect(self, ch: str, message: str) -> None:
+        if self.peek() != ch:
+            raise ParseError(message, self.pos)
+        self.pos += 1
+
+    def finish(self) -> None:
+        ch = self.peek()
+        if ch:
+            raise ParseError(f"unexpected {ch!r}", self.pos)
+
+    def expression(self, g: _Grammar):
+        left = self.disjunction(g)
+        if self.peek() == "-" and self.text.startswith("->", self.pos):
             self.pos += 2
-            return Implies(left, self.parse_implies())
+            return g.implies(left, self.expression(g))
         return left
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
+    def disjunction(self, g: _Grammar):
+        node = self.conjunction(g)
         while self.peek() == "|":
             self.pos += 1
-            node = Or(node, self.parse_and())
+            node = g.or_(node, self.conjunction(g))
         return node
 
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
+    def conjunction(self, g: _Grammar):
+        node = self.unary(g)
         while self.peek() == "&":
             self.pos += 1
-            node = And(node, self.parse_unary())
+            node = g.and_(node, self.unary(g))
         return node
 
-    def parse_unary(self) -> Formula:
+    def unary(self, g: _Grammar):
         ch = self.peek()
-        if ch == "~":
+        if ch == g.negation:
             self.pos += 1
-            return Not(self.parse_unary())
+            return g.not_(self.unary(g))
         if ch == "(":
             self.pos += 1
-            node = self.parse_implies()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+            node = self.expression(g)
+            self.expect(")", "expected ')'")
             return node
-        if ch == "T":
-            self.pos += 1
-            return Top()
-        if ch == "F":
-            self.pos += 1
-            return Bottom()
-        if ch == "p":
-            start = self.pos
-            self.pos += 1
-            digits = ""
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                digits += self.text[self.pos]
-                self.pos += 1
-            if not digits:
-                raise ParseError("expected atom index after 'p'", start)
-            index = int(digits)
-            if index >= self.lang.atom_count:
-                raise ParseError(
-                    f"atom index {index} out of range for {self.lang.atom_count} atoms",
-                    start,
-                )
-            return Atom(index)
+        node = g.leaf(self, ch)
+        if node is not None:
+            return node
         if ch == "":
             raise ParseError("unexpected end of input", self.pos)
         raise ParseError(f"unexpected {ch!r}", self.pos)
 
+    def applied(self, name: str) -> Formula:
+        """`name(<formula>)`, the cursor sitting on name: the formula."""
+        self.pos += len(name)
+        self.expect("(", f"expected '(' after {name!r}")
+        formula = self.expression(_FORMULA)
+        self.expect(")", f"expected ')' closing {name + '('!r}")
+        return formula
+
+
+def _formula_leaf(cur: _Cursor, ch: str) -> Union[Formula, None]:
+    if ch == "T":
+        cur.pos += 1
+        return Top()
+    if ch == "F":
+        cur.pos += 1
+        return Bottom()
+    if ch != "p":
+        return None
+    text, start = cur.text, cur.pos
+    end = start + 1
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == start + 1:
+        raise ParseError("expected atom index after 'p'", start)
+    index = int(text[start + 1:end])
+    if index >= cur.lang.atom_count:
+        raise ParseError(
+            f"atom index {index} out of range for {cur.lang.atom_count} atoms", start
+        )
+    cur.pos = end
+    return Atom(index)
+
+
+def _formula_leaf_text(node: Formula) -> str:
+    if isinstance(node, Atom):
+        return f"p{node.index}"
+    if isinstance(node, Top):
+        return "T"
+    if isinstance(node, Bottom):
+        return "F"
+    raise TypeError(f"not a formula: {node!r}")
+
+
+_FORMULA = _Grammar("~", Not, And, Or, Implies, _formula_leaf, _formula_leaf_text)
+
 
 def parse_formula(text: str, lang: LanguageSpec) -> Formula:
-    return _Parser(text, lang).parse()
-
-
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4}
+    cur = _Cursor(text, lang)
+    formula = cur.expression(_FORMULA)
+    cur.finish()
+    return formula
 
 
 def format_formula(formula: Formula) -> str:
     """Render with minimal parentheses; parses back to the same tree."""
-
-    def render(node: Formula, parent_prec: int, right_of_implies: bool) -> str:
-        if isinstance(node, Atom):
-            return f"p{node.index}"
-        if isinstance(node, Top):
-            return "T"
-        if isinstance(node, Bottom):
-            return "F"
-        if isinstance(node, Not):
-            return "~" + render(node.child, _PRECEDENCE[Not], False)
-        prec = _PRECEDENCE[type(node)]
-        if isinstance(node, Implies):
-            # right-associative: only the right child may carry another bare ->
-            body = (
-                render(node.left, prec + 1, False)
-                + " -> "
-                + render(node.right, prec, True)
-            )
-        elif isinstance(node, Or):
-            body = render(node.left, prec, False) + " | " + render(node.right, prec + 1, False)
-        else:
-            body = render(node.left, prec, False) + " & " + render(node.right, prec + 1, False)
-        if prec < parent_prec or (prec == parent_prec and not right_of_implies and isinstance(node, Implies)):
-            return "(" + body + ")"
-        return body
-
-    return render(formula, 0, False)
+    return _FORMULA.format(formula)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class RelationalModel:
     lang: LanguageSpec
     K: BeliefSet
     outcomes: tuple[BeliefSet, ...]
-    _valid: list = field(default_factory=list, compare=False, repr=False)
+    _valid: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def require_valid(self) -> None:
         # cached: validation result cannot change on a frozen model

@@ -50,6 +50,7 @@ from .operators import (
     UniverseSpec,
     _first_true,
     _model_rows,
+    _scc_cycle,
     _tables,
     check_postulates,
 )
@@ -672,28 +673,25 @@ def check_sentential_postulates(
         SententialPostulateId.EXTENSIONALITY, True, c
     )
 
-    holds = True
+    mixed = next(
+        (
+            (comp, node)
+            for comp in graphs.strongly_connected_components(member)
+            for node in comp[1:]
+            if out[node] != out[comp[0]]
+        ),
+        None,
+    )
     w = None
-    for comp in graphs.strongly_connected_components(member):
-        base = comp[0]
-        for node in comp[1:]:
-            if out[node] != out[base]:
-                holds = False
-                inside = np.zeros(c, dtype=bool)
-                inside[comp] = True
-                sub = member & inside[:, None] & inside[None, :]
-                there = graphs.shortest_path(sub, base, node)
-                back = graphs.shortest_path(sub, node, base)
-                cycle = there + back[1:-1] if there and back else [base, node]
-                w = SententialWitness(
-                    tuple(cls(i) for i in cycle),
-                    tuple(op.outputs[i] for i in cycle),
-                    "loop of successively accepted inputs with unequal outcomes",
-                )
-                break
-        if not holds:
-            break
+    if mixed is not None:
+        comp, node = mixed
+        cycle = _scc_cycle(member, comp, comp[0], node)
+        w = SententialWitness(
+            tuple(cls(i) for i in cycle),
+            tuple(op.outputs[i] for i in cycle),
+            "loop of successively accepted inputs with unequal outcomes",
+        )
     reports[SententialPostulateId.STRONG_RECIPROCITY] = SententialReport(
-        SententialPostulateId.STRONG_RECIPROCITY, holds, c * c, w
+        SententialPostulateId.STRONG_RECIPROCITY, w is None, c * c, w
     )
     return reports

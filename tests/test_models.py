@@ -1,5 +1,6 @@
 """Ordered-outcome models: validation, revision, generation, JSON."""
 
+import dataclasses
 import json
 
 import pytest
@@ -53,6 +54,16 @@ def test_validate_k_not_first(lang2):
     assert not report.conditions["leq1"].passed
     with pytest.raises(ModelInvalidError):
         m.require_valid()
+
+
+def test_replace_does_not_carry_validity(lang2):
+    """A model made by dataclasses.replace validates itself afresh."""
+    m = generate_model(1, lang2, size=4)
+    m.require_valid()
+    rotated = dataclasses.replace(m, outcomes=m.outcomes[1:] + m.outcomes[:1])
+    assert not validate_model(rotated).passed
+    with pytest.raises(ModelInvalidError):
+        rotated.require_valid()
 
 
 def test_validate_k_absent(lang2):
