@@ -346,9 +346,8 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
     quotient, computed once.
     """
     k = op._kernel()
-    uniq, inv, ge = k.outcome_quotient()
-    reach = graphs.reachability(ge) | np.eye(len(uniq), dtype=bool)
-    m = (~k.diag)[None, :] | (k.diag[:, None] & reach[inv[:, None], inv[None, :]])
+    reach = graphs.reachability(k.ge) | np.eye(len(k.uniq), dtype=bool)
+    m = (~k.diag)[None, :] | (k.diag[:, None] & reach[k.inv[:, None], k.inv[None, :]])
     return MultiBelievabilityRelation.from_table(op.universe, m)
 
 

@@ -278,7 +278,8 @@ def _formula_leaf(cur: _Cursor, ch: str) -> Union[Formula, None]:
         return None
     text, start = cur.text, cur.pos
     end = start + 1
-    while end < len(text) and text[end].isdigit():
+    # ASCII digits only: str.isdigit also takes superscript and Arabic-Indic digits
+    while end < len(text) and "0" <= text[end] <= "9":
         end += 1
     if end == start + 1:
         raise ParseError("expected atom index after 'p'", start)

@@ -128,9 +128,10 @@ class _Tables:
         from belief set j, a (c+1)*m bool table whose extra row c is all
         False, and hit is the OR over slots of the row gathers
         ent[slot[:, s]].  Cost: c*m mask tests plus max_input_size n*m
-        byte gathers; at n=697 on one 2 GHz virtual CPU, about 0.3 ms for
-        an operator's n*n meets matrix and 0.06 ms for the n*12 table of a
-        12-outcome model.  The empty input meets nothing.
+        byte gathers; at n=697 on one 2 GHz virtual CPU, about 0.04 ms for
+        the n*g table over an operator's g <= 16 distinct outcomes (the
+        kernel's M) and 0.06 ms for the n*12 table of a 12-outcome model.
+        The empty input meets nothing.
         """
         c = self.u.class_count
         ent = np.zeros((c + 1, len(masks)), dtype=bool)
@@ -475,47 +476,39 @@ def load_operator(path: str) -> ChoiceOperator:
 
 
 class _OpKernel:
-    """Numpy views of one operator: outcome masks, the meets matrix and the
+    """Numpy views of one operator: outcome masks, its meets table and the
     postulate reports already computed for it.
 
-    meets[a, b] says that some member of A_a follows from the outcome of
-    A_b: `_Tables.meets` applied to the operator's outputs, about 0.3 ms
-    at n=697 on one 2 GHz virtual CPU.
+    uniq holds the g distinct outcome masks and inv[a] the group of A_a's
+    outcome in them.  M[a, j] says that some member of A_a follows from
+    outcome uniq[j]: `_Tables.meets` over the distinct outcomes, an n*g
+    table (g <= 16 at n=697).  A_a meets the outcome of A_b exactly when
+    M[a, inv[b]], so the postulates about meeting read M and no n*n table
+    is kept; diag[a] says that A_a meets its own outcome.  ge[i, j], the
+    outcome quotient, says that some input with outcome i meets outcome j:
+    the OR of M's rows over group i, one logical_or.reduceat over the rows
+    sorted by group.  Reciprocity, strong reciprocity, model synthesis and
+    relation derivation read it.  The only n*n operator array is the input
+    graph M[:, inv] that a failing strong-reciprocity check builds for its
+    witness loop.
     """
 
     def __init__(self, op: ChoiceOperator):
         t = _tables(op.universe)
         self.t = t
         self.out = np.array([o.mask for o in op.outputs], dtype=np.int64)
-        self.meets = t.meets(self.out)
-        self.diag = self.meets.diagonal().copy()
+        self.uniq, self.inv, counts = np.unique(
+            self.out, return_inverse=True, return_counts=True
+        )
+        self.M = t.meets(self.uniq)
+        self.diag = self.M[np.arange(len(self.out)), self.inv]
+        by_group = np.argsort(self.inv, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        self.ge = np.logical_or.reduceat(self.M[by_group], starts, axis=0)
         kmask = np.int64(op.K.mask)
         self.eq_k = self.out == kmask
         self.meets_k = (((kmask & ~t.member) == 0) & t.valid).any(axis=1)
         self.reports: dict[PostulateId, PostulateReport] = {}
-        self._quotient: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def outcome_quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Meets graph over distinct outcomes, built once per kernel.
-
-        Returns the distinct outcome masks, each input's group in them,
-        and ge[i, j]: some input with outcome i meets the outcome of some
-        input with outcome j.  meets[a, b] depends on b only through b's
-        outcome, so column j is meets[:, rep_j] for any one input rep_j
-        with outcome j, and row i is the OR of those columns over group i:
-        an n*g column gather and one logical_or.reduceat over the rows
-        sorted by group, about 0.15 ms at n=697 on one 2 GHz virtual CPU.
-        Reciprocity, strong reciprocity, model synthesis and relation
-        derivation all read this one memoised result.
-        """
-        if self._quotient is None:
-            uniq, inv, counts = np.unique(self.out, return_inverse=True, return_counts=True)
-            by_group = np.argsort(inv, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-            cols = self.meets[:, by_group[starts]]
-            ge = np.logical_or.reduceat(cols[by_group], starts, axis=0)
-            self._quotient = (uniq, inv, ge)
-        return self._quotient
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +622,12 @@ def _check_relative_success(op: ChoiceOperator) -> PostulateReport:
 
 def _check_regularity(op: ChoiceOperator) -> PostulateReport:
     k = op._kernel()
-    viol = k.meets & ~k.diag[:, None]
+    bad = ~k.diag & k.M.any(axis=1)
     n = len(op.outputs)
-    if not viol.any():
+    if not bad.any():
         return PostulateReport(PostulateId.REGULARITY, True, n * n)
-    a, b = _first_true(viol)
+    (a,) = _first_true(bad)
+    (b,) = _first_true(k.M[a, k.inv])
     w = _pair_witness(
         op, a, b, "first set meets the second's outcome but not its own"
     )
@@ -659,17 +653,14 @@ def _check_confirmation(op: ChoiceOperator) -> PostulateReport:
 def _check_reciprocity(op: ChoiceOperator) -> PostulateReport:
     k = op._kernel()
     n = len(op.outputs)
-    # meets[a, b] depends on b only through b's outcome, so a pair of
-    # mutually meeting inputs with unequal outcomes exists iff the outcome
-    # quotient has an edge both ways between two distinct groups; the
-    # n*n scan runs only to find a failing operator's first witness
-    _, _, ge = k.outcome_quotient()
-    both = ge & ge.T
-    np.fill_diagonal(both, False)
-    if not both.any():
+    # A_a has a partner in another group j iff A_a meets outcome j and
+    # some input of group j meets A_a's outcome, that is ge[j, inv[a]]
+    met_by = k.ge.T & ~np.eye(len(k.uniq), dtype=bool)
+    bad = (k.M & met_by[k.inv]).any(axis=1)
+    if not bad.any():
         return PostulateReport(PostulateId.RECIPROCITY, True, n * n)
-    viol = k.meets & k.meets.T & (k.out[:, None] != k.out[None, :])
-    a, b = _first_true(viol)
+    (a,) = _first_true(bad)
+    (b,) = _first_true(k.M[a, k.inv] & k.M[:, k.inv[a]] & (k.inv != k.inv[a]))
     w = _pair_witness(op, a, b, "each set meets the other's outcome yet outcomes differ")
     return PostulateReport(PostulateId.RECIPROCITY, False, n * n, witness=w)
 
@@ -725,7 +716,7 @@ def _check_cautiousness(op: ChoiceOperator) -> PostulateReport:
     k = op._kernel()
     # only subset pairs can violate it; they are sorted in scan order
     sub, sup = k.t.subset_pairs
-    viol = k.meets[sub, sup] & (k.out[sub] != k.out[sup])
+    viol = k.M[sub, k.inv[sup]] & (k.out[sub] != k.out[sup])
     n = len(op.outputs)
     if not viol.any():
         return PostulateReport(PostulateId.CAUTIOUSNESS, True, n * n)
@@ -768,19 +759,22 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # projects onto a closed walk through its groups.  Self-loops (inputs
     # meeting their own group's outcome) never join a second node to a
     # component, so the diagonal needs no clearing.  The quotient has at
-    # most 2^(2^atoms) nodes.  A failing operator still runs the input
-    # graph's SCC: its witness is the loop through the first mixed input
-    # component, in the SCC's output order, not any loop the quotient shows.
-    _, _, ge = k.outcome_quotient()
-    if all(len(comp) == 1 for comp in graphs.strongly_connected_components(ge)):
+    # most 2^(2^atoms) nodes.  Only a failing operator builds the n*n
+    # input graph and runs its SCC: the witness is the loop through the
+    # first mixed input component, in the SCC's output order, not any loop
+    # the quotient shows.
+    if all(len(comp) == 1 for comp in graphs.strongly_connected_components(k.ge)):
         return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
+    # M[:, inv] row-major, as the SCC scans rows; the index gives it
+    # column-major, which costs the SCC about 3 ms more at n=697
+    adj = np.take(k.M, k.inv, axis=1)
     comp, node = next(
         (comp, node)
-        for comp in graphs.strongly_connected_components(k.meets)
+        for comp in graphs.strongly_connected_components(adj)
         for node in comp[1:]
         if k.out[node] != k.out[comp[0]]
     )
-    cycle = _scc_cycle(k.meets, comp, comp[0], node)
+    cycle = _scc_cycle(adj, comp, comp[0], node)
     w = Witness(
         tuple(t.sets[i] for i in cycle),
         tuple(op.outputs[i] for i in cycle),

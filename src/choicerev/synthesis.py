@@ -81,9 +81,9 @@ def synthesize_model(op: ChoiceOperator) -> RelationalModel:
     for p in BASIC_POSTULATES:
         if not reports[p].holds:
             raise SynthesisError(f"postulate violation: {p.value}", reports)
-    uniq, _, ge = op._kernel().outcome_quotient()
-    g = len(uniq)
-    chain = graphs.reachability(ge)
+    k = op._kernel()
+    g = len(k.uniq)
+    chain = graphs.reachability(k.ge)
     if not chain.diagonal().all():
         raise SynthesisError("chain relation not reflexive on some outcome")
     anti = chain & chain.T & ~np.eye(g, dtype=bool)
@@ -92,7 +92,7 @@ def synthesize_model(op: ChoiceOperator) -> RelationalModel:
             "antisymmetry violation: distinct outcomes reach each other"
         )
     lang = op.lang
-    sets_of = [BeliefSet(lang, int(m)) for m in uniq]
+    sets_of = [BeliefSet(lang, int(m)) for m in k.uniq]
     order = graphs.stable_topological_order(
         g, chain, lambda i: tuple(sets_of[i].encode())
     )

@@ -66,6 +66,13 @@ def test_revise_bad_formula(model_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_revise_non_ascii_digit_is_usage_error(model_file, capsys):
+    # a superscript two is a digit to str.isdigit but not an atom index
+    code = main(["revise", "--model", model_file, "--input", "p\u00b2", "--atoms", "2"])
+    assert code == 2
+    assert "expected atom index after 'p'" in capsys.readouterr().err
+
+
 def test_check_operator_exit_codes(operator_file, capsys):
     # model-induced operators pass the core but this one fails success
     assert main(["check", "--operator", operator_file,

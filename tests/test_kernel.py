@@ -6,10 +6,15 @@ seed's constructions.
 `_reference_subset` the n*n subset loop, `_reference_draw`
 the per-entry BeliefSet draw of `random_operator`, `_reference_dichotomy`
 the all-pairs dichotomy scan and `_reference_strong_reciprocity` the
-strong-reciprocity check over the whole input graph's components.
+strong-reciprocity check over the whole input graph's components.  The
+references for relative success, regularity, reciprocity, success and
+cautiousness are loops over the postulates' definitions, and
+`REPORT_DIGEST` pins every report on the `_operators` corpus.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -96,12 +101,13 @@ def _reference_strong_reciprocity(op):
     k = op._kernel()
     t = k.t
     n = len(op.outputs)
-    comps = graphs.strongly_connected_components(k.meets)
+    meets = _reference_meets(op)
+    comps = graphs.strongly_connected_components(meets)
     for comp in comps:
         first = comp[0]
         for node in comp[1:]:
             if k.out[node] != k.out[first]:
-                cycle = _scc_cycle(k.meets, comp, first, node)
+                cycle = _scc_cycle(meets, comp, first, node)
                 w = Witness(
                     tuple(t.sets[i] for i in cycle),
                     tuple(op.outputs[i] for i in cycle),
@@ -132,17 +138,24 @@ def _operators(n, seed=0):
     return [induced, random_operator(seed, u), _flipped(induced, n // 2)]
 
 
+def _kernel_meets(op):
+    """meets[a, b] read off the kernel's n*g table: column inv[b] of M."""
+    k = op._kernel()
+    assert k.M.shape == (len(op.outputs), len(k.uniq))
+    return k.M[:, k.inv]
+
+
 @pytest.mark.parametrize("n", [16, 17, 137, 257])
 def test_meets_matches_broadcast_and_loop(n):
     for op in _operators(n):
-        meets = op._kernel().meets
+        meets = _kernel_meets(op)
         assert np.array_equal(meets, _reference_meets(op))
         assert np.array_equal(meets, _loop_meets(op))
 
 
 def test_meets_matches_broadcast_and_loop_at_697():
     op = _operators(697)[2]
-    meets = op._kernel().meets
+    meets = _kernel_meets(op)
     assert np.array_equal(meets, _reference_meets(op))
     assert np.array_equal(meets, _loop_meets(op))
 
@@ -306,6 +319,106 @@ def test_reciprocity_matches_definition(n):
 def test_reciprocity_matches_definition_at_697():
     op = _operators(697)[2]
     assert _verdict(_CHECKERS[PostulateId.RECIPROCITY](op)) == _reference_reciprocity(op)
+
+
+def _reference_relative_success(op):
+    """(holds, checked, first witness): every outcome is K or meets its input."""
+    sets = _tables(op.universe).sets
+    for a, o in zip(sets, op.outputs):
+        if o != op.K and not theory_meets(a, o):
+            return False, len(sets), (a,)
+    return True, len(sets), None
+
+
+def _reference_success(op):
+    """(holds, checked, first witness): every nonempty input meets its
+    outcome."""
+    sets = _tables(op.universe).sets
+    for a, o in zip(sets, op.outputs):
+        if len(a) > 0 and not theory_meets(a, o):
+            return False, len(sets), (a,)
+    return True, len(sets), None
+
+
+def _reference_regularity(op):
+    """(holds, checked, first witness): an input that meets some input's
+    outcome meets its own."""
+    sets = _tables(op.universe).sets
+    outs = op.outputs
+    n = len(sets)
+    for a in range(n):
+        for b in range(n):
+            if not theory_meets(sets[a], outs[a]) and theory_meets(sets[a], outs[b]):
+                return False, n * n, (sets[a], sets[b])
+    return True, n * n, None
+
+
+def _reference_cautiousness(op):
+    """(holds, checked, first witness): a subset of an input that meets the
+    input's outcome has the same outcome."""
+    sets = _tables(op.universe).sets
+    outs = op.outputs
+    n = len(sets)
+    for a in range(n):
+        for b in range(n):
+            if (
+                sets[a].issubset(sets[b])
+                and theory_meets(sets[a], outs[b])
+                and outs[a] != outs[b]
+            ):
+                return False, n * n, (sets[a], sets[b])
+    return True, n * n, None
+
+
+_DEFINITIONS = (
+    (PostulateId.RELATIVE_SUCCESS, _reference_relative_success),
+    (PostulateId.REGULARITY, _reference_regularity),
+    (PostulateId.SUCCESS, _reference_success),
+    (PostulateId.CAUTIOUSNESS, _reference_cautiousness),
+)
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_meets_checkers_match_definitions(n):
+    verdicts = {p: set() for p, _ in _DEFINITIONS}
+    for seed in range(3):
+        for op in _operators(n, seed):
+            for p, reference in _DEFINITIONS:
+                report = _CHECKERS[p](op)
+                assert _verdict(report) == reference(op), p.value
+                verdicts[p].add(report.holds)
+    # with singleton inputs only, a proper subset is empty and meets
+    # nothing, so cautiousness holds
+    both = {True, False}
+    pair_inputs = _universe(n).max_input_size >= 2
+    assert verdicts.pop(PostulateId.CAUTIOUSNESS) == (both if pair_inputs else {True})
+    assert all(v == both for v in verdicts.values()), verdicts
+
+
+def test_meets_checkers_match_definitions_at_697():
+    op = _operators(697)[2]
+    for p, reference in _DEFINITIONS:
+        assert _verdict(_CHECKERS[p](op)) == reference(op), p.value
+
+
+# Every verdict, count, witness and outcome quotient on the corpus below
+# goes into it, so a change to any of them fails here.
+REPORT_DIGEST = "2cda97ad1939a77356f42f89acfeb38593cd73ce88a2be169c552cc7ffe77156"
+
+
+def test_report_digest_pinned():
+    h = hashlib.sha256()
+    for n in (16, 17, 137, 257, 697):
+        for seed in range(3):
+            for op in _operators(n, seed):
+                reports = check_postulates(op)
+                h.update(json.dumps([reports[p].to_dict() for p in PostulateId]).encode())
+                h.update(json.dumps(check_equivalences(op).to_dict()).encode())
+                k = op._kernel()
+                for x in (k.uniq, k.inv, k.ge):
+                    h.update(f"{x.dtype.str}{x.shape}".encode())
+                    h.update(x.tobytes())
+    assert h.hexdigest() == REPORT_DIGEST
 
 
 def _reference_closure(op):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from test_graphs import _reference_scc, _simple_cycles_bounded
+from test_kernel import _reference_meets
 
 from choicerev import graphs
 from choicerev.logic import (
@@ -185,7 +186,7 @@ def _strong_reciprocity_bounded_loops(op, max_len=3):
     implies an SCC violation.
     """
     k = op._kernel()
-    for cycle in _simple_cycles_bounded(k.meets, max_len):
+    for cycle in _simple_cycles_bounded(_reference_meets(op), max_len):
         outs = {int(k.out[i]) for i in cycle}
         if len(outs) > 1:
             return Witness(
@@ -351,11 +352,12 @@ def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
             assert witness_violates(op, PostulateId.STRONG_RECIPROCITY, r.witness)
 
 
-def _reference_outcome_quotient(k):
-    """The quotient as one scatter over the meets edges."""
-    uniq, inv = np.unique(k.out, return_inverse=True)
+def _reference_outcome_quotient(op):
+    """The quotient as one scatter over the edges of the n*n meets matrix."""
+    out = np.array([o.mask for o in op.outputs], dtype=np.int64)
+    uniq, inv = np.unique(out, return_inverse=True)
     ge = np.zeros((len(uniq), len(uniq)), dtype=bool)
-    a, b = np.nonzero(k.meets)
+    a, b = np.nonzero(_reference_meets(op))
     ge[inv[a], inv[b]] = True
     return uniq, inv, ge
 
@@ -378,13 +380,14 @@ def test_outcome_quotient_matches_group_loop():
     ops += [random_operator(0, u257), random_operator(0, u697)]
     for op in ops:
         k = op._kernel()
-        uniq, inv, ge = k.outcome_quotient()
+        uniq, inv, ge = k.uniq, k.inv, k.ge
         assert np.array_equal(uniq, np.unique(k.out))
         assert np.array_equal(uniq[inv], k.out)
-        for got, want in zip((uniq, inv, ge), _reference_outcome_quotient(k)):
+        for got, want in zip((uniq, inv, ge), _reference_outcome_quotient(op)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        meets = _reference_meets(op)
         groups = [np.flatnonzero(inv == i) for i in range(len(uniq))]
         want = np.array([
-            [k.meets[np.ix_(gi, gj)].any() for gj in groups] for gi in groups
+            [meets[np.ix_(gi, gj)].any() for gj in groups] for gi in groups
         ])
         assert np.array_equal(ge, want)

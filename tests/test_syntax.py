@@ -113,7 +113,7 @@ class _RefParser:
             start = self.pos
             self.pos += 1
             digits = ""
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 digits += self.text[self.pos]
                 self.pos += 1
             if not digits:
@@ -361,6 +361,8 @@ def test_parsers_match_references(text, lang):
         (parse_formula, "p0 | p1 )", "unexpected ')'", 8),
         (parse_formula, "(p0", "expected ')'", 3),
         (parse_formula, "~ p", "expected atom index after 'p'", 2),
+        (parse_formula, "p\u00b2", "expected atom index after 'p'", 0),
+        (parse_formula, "p\u0663", "expected atom index after 'p'", 0),
         (parse_formula, "p0 & p7", "atom index 7 out of range for 2 atoms", 5),
         (parse_formula, "!p0", "unexpected '!'", 0),
         (parse_formula, "p0 - p1", "unexpected '-'", 3),
