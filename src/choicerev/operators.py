@@ -119,6 +119,10 @@ class _Tables:
         self.slot = np.where(self.valid, self.member, c)
         # one bit per sentence class: sets looked up by their class bitset
         self._by_bits = {sum(1 << m for m in s.mask_tuple): i for i, s in enumerate(sets)}
+        # one object per distinct passing report and equivalence report on
+        # this universe: a caller that keeps the reports of many tables
+        # keeps each of those once (at most 12 and 81 of them)
+        self.shared_reports: dict = {}
 
     def meets(self, masks: np.ndarray) -> np.ndarray:
         """hit[a, j]: some member of A_a follows from the belief set whose
@@ -321,7 +325,7 @@ def enumerate_universe(u: UniverseSpec) -> list[InputSet]:
 # Operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceOperator:
     """Total outcome table over a universe; outputs aligned with its order."""
 
@@ -488,9 +492,9 @@ class _OpKernel:
     outcome quotient, says that some input with outcome i meets outcome j:
     the OR of M's rows over group i, one logical_or.reduceat over the rows
     sorted by group.  Reciprocity, strong reciprocity, model synthesis and
-    relation derivation read it.  The only n*n operator array is the input
-    graph M[:, inv] that a failing strong-reciprocity check builds for its
-    witness loop.
+    relation derivation read it.  A failing strong-reciprocity check also
+    reads the input graph's components off the quotient and walks bitset
+    rows built from M (`_input_rows`), so no operator array is n*n.
     """
 
     def __init__(self, op: ChoiceOperator):
@@ -545,7 +549,7 @@ SUPPLEMENTARY_POSTULATES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     inputs: tuple[InputSet, ...]
     outcomes: tuple[BeliefSet, ...]
@@ -559,7 +563,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostulateReport:
     postulate: PostulateId
     holds: bool
@@ -759,22 +763,30 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # projects onto a closed walk through its groups.  Self-loops (inputs
     # meeting their own group's outcome) never join a second node to a
     # component, so the diagonal needs no clearing.  The quotient has at
-    # most 2^(2^atoms) nodes.  Only a failing operator builds the n*n
-    # input graph and runs its SCC: the witness is the loop through the
-    # first mixed input component, in the SCC's output order, not any loop
-    # the quotient shows.
-    if all(len(comp) == 1 for comp in graphs.strongly_connected_components(k.ge)):
+    # most 2^(2^atoms) nodes.
+    comps = graphs.strongly_connected_components(k.ge)
+    if all(len(comp) == 1 for comp in comps):
         return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
-    # M[:, inv] row-major, as the SCC scans rows; the index gives it
-    # column-major, which costs the SCC about 3 ms more at n=697
-    adj = np.take(k.M, k.inv, axis=1)
-    comp, node = next(
-        (comp, node)
-        for comp in graphs.strongly_connected_components(adj)
-        for node in comp[1:]
-        if k.out[node] != k.out[comp[0]]
-    )
-    cycle = _scc_cycle(adj, comp, comp[0], node)
+    # The witness is the loop through the first mixed component of the
+    # input graph (A_a -> A_b iff M[a, inv[b]]) in the SCC's output order,
+    # not any loop the quotient shows.  The quotient gives the input
+    # components: A_a is on a cycle iff M[a, j] for a group j in the
+    # quotient component Q of inv[a], the inputs on a cycle in one Q form
+    # one input component, and it is mixed iff Q has two or more groups.
+    # The rest are single nodes, so one depth-first search finds the
+    # component's output position and discovery order.
+    qid = np.empty(len(k.uniq), dtype=np.intp)
+    for i, comp in enumerate(comps):
+        qid[comp] = i if len(comp) > 1 else -1
+    mine = qid[k.inv]
+    on_cycle = (k.M & (qid == mine[:, None])).any(axis=1)
+    comp_of = np.where(on_cycle & (mine >= 0), mine, -1).tolist()
+    rows = _input_rows(k)
+    comp = graphs.first_component(rows, comp_of)
+    x = comp[0]
+    y = next(v for v in comp[1:] if k.inv[v] != k.inv[x])
+    # the BFS path there, then the BFS path back
+    cycle = graphs.shortest_path(rows, x, y)[:-1] + graphs.shortest_path(rows, y, x)[:-1]
     w = Witness(
         tuple(t.sets[i] for i in cycle),
         tuple(op.outputs[i] for i in cycle),
@@ -783,15 +795,23 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     return PostulateReport(PostulateId.STRONG_RECIPROCITY, False, n * n, witness=w)
 
 
-def _scc_cycle(adj: np.ndarray, comp: list[int], x: int, y: int) -> list[int]:
-    """A directed cycle through x and y inside one strongly connected component."""
-    inside = np.zeros(adj.shape[0], dtype=bool)
-    inside[comp] = True
-    sub = adj & inside[:, None] & inside[None, :]
-    there = graphs.shortest_path(sub, x, y)
-    back = graphs.shortest_path(sub, y, x)
-    assert there is not None and back is not None
-    return there + back[1:-1]
+def _input_rows(k: "_OpKernel") -> list[int]:
+    """Bitset rows of the input graph, A_a -> A_b iff M[a, inv[b]].
+
+    Row a is the OR of the bitsets of the groups j with M[a, j].  Groups
+    are disjoint, so that OR is also a sum, and every row comes out of one
+    product: M times the group bitsets cut into 16-bit chunks.  float32
+    holds every such sum exactly, as it is an integer below 2^16.  No n*n
+    array is made.
+    """
+    n, g = k.M.shape
+    width = (n + 15) // 16
+    b = np.arange(n)
+    chunks = np.zeros((g, width), dtype=np.float32)
+    np.add.at(chunks, (k.inv, b >> 4), (1 << (b & 15)).astype(np.float32))
+    packed = (k.M.astype(np.float32) @ chunks).astype("<u2").tobytes()
+    step = 2 * width
+    return [int.from_bytes(packed[i:i + step], "little") for i in range(0, len(packed), step)]
 
 
 _CHECKERS = {
@@ -815,12 +835,16 @@ def check_postulate(op: ChoiceOperator, p: PostulateId) -> PostulateReport:
 
     Each operator checks each postulate once: the report is memoised on
     the operator's kernel, and later calls (check_equivalences, the gates
-    in synthesis) return that same frozen report object.
+    in synthesis) return that same frozen report object.  A report that
+    holds is one object for every table on the universe.
     """
-    memo = op._kernel().reports
-    report = memo.get(p)
+    k = op._kernel()
+    report = k.reports.get(p)
     if report is None:
-        report = memo[p] = _CHECKERS[p](op)
+        report = _CHECKERS[p](op)
+        if report.holds:
+            report = k.t.shared_reports.setdefault(report, report)
+        k.reports[p] = report
     return report
 
 
@@ -893,7 +917,7 @@ def witness_violates(op: ChoiceOperator, p: PostulateId, w: Witness) -> bool:
 # Derived-property equivalences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceItem:
     name: str
     applicable: bool
@@ -909,7 +933,7 @@ class EquivalenceItem:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     items: tuple[EquivalenceItem, ...]
 
@@ -925,7 +949,8 @@ def check_equivalences(op: ChoiceOperator) -> EquivalenceReport:
     """Conditional equivalences between the core and derived postulates.
 
     Each item is checked only when its antecedent postulates hold on this
-    operator; inapplicable items carry holds=None.
+    operator; inapplicable items carry holds=None.  Equal reports on one
+    universe are one object.
     """
     r = check_postulates(op)
     items = []
@@ -972,7 +997,8 @@ def check_equivalences(op: ChoiceOperator) -> EquivalenceReport:
             f"given the five core postulates ({d.skipped} union instances outside the universe skipped)",
         )
     )
-    return EquivalenceReport(tuple(items))
+    report = EquivalenceReport(tuple(items))
+    return _tables(op.universe).shared_reports.setdefault(report, report)
 
 
 # ---------------------------------------------------------------------------

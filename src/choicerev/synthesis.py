@@ -50,7 +50,6 @@ from .operators import (
     UniverseSpec,
     _first_true,
     _model_rows,
-    _scc_cycle,
     _tables,
     check_postulates,
 )
@@ -675,7 +674,7 @@ def check_sentential_postulates(
 
     mixed = next(
         (
-            (comp, node)
+            (comp[0], node)
             for comp in graphs.strongly_connected_components(member)
             for node in comp[1:]
             if out[node] != out[comp[0]]
@@ -684,8 +683,10 @@ def check_sentential_postulates(
     )
     w = None
     if mixed is not None:
-        comp, node = mixed
-        cycle = _scc_cycle(member, comp, comp[0], node)
+        x, y = mixed
+        rows = graphs.bitset_rows(member)
+        # the BFS path there, then the BFS path back
+        cycle = graphs.shortest_path(rows, x, y)[:-1] + graphs.shortest_path(rows, y, x)[:-1]
         w = SententialWitness(
             tuple(cls(i) for i in cycle),
             tuple(op.outputs[i] for i in cycle),

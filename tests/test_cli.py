@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output determinism, error reporting."""
 
+import hashlib
 import json
 
 import pytest
@@ -237,3 +238,24 @@ def test_check_witness_revalidates(tmp_path, capsys):
             entry["witness"]["note"],
         )
         assert witness_violates(op, PostulateId(entry["postulate"]), w), entry
+
+
+# sha256 of the JSON output; the header holds the version (0.1.0), so a
+# version bump changes both
+CHECK_697_SHA256 = "bbac9bcffd9c280057b419cfca8f341aa7c7e88fb46d5958a7f4b168573252a8"
+FOOTNOTE7_SHA256 = "a08b9f212f0a23fd0a034f5e7f9dd66dd1350bc20f1880773f36dcc38c048c1f"
+
+
+def test_json_output_pinned(tmp_path, capsys):
+    """`check` on the seed-1 random n=697 operator and `demo footnote7`
+    print the same bytes as before: every verdict, witness and loop."""
+    op = tmp_path / "op.json"
+    assert main(["gen", "operator", "--atoms", "2", "--max-input-size", "3",
+                 "--seed", "1", "--out", str(op)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--operator", str(op), "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_697_SHA256
+    assert main(["demo", "footnote7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FOOTNOTE7_SHA256

@@ -1,11 +1,14 @@
 """Dense digraph helpers: SCC, closure, paths, stable toposort."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from choicerev.graphs import (
+    bitset_rows,
+    first_component,
     reachability,
     shortest_path,
     stable_topological_order,
@@ -97,6 +100,31 @@ def test_scc_matches_reference_including_order(a):
     assert strongly_connected_components(a) == _reference_scc(a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_scc_independent_of_memory_layout(a):
+    want = strongly_connected_components(a)
+    assert strongly_connected_components(np.asfortranarray(a)) == want
+    # a column gather, as a caller building an input graph would make one
+    perm = np.arange(a.shape[0])
+    assert strongly_connected_components(a[:, perm]) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.data())
+def test_first_component_matches_reference_order(a, data):
+    """The first wanted component in the reference's output order, with
+    the reference's node order, whichever components are wanted."""
+    comps = _reference_scc(a)
+    wanted = data.draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
+    comp_of = [-1] * a.shape[0]
+    for i, (comp, keep) in enumerate(zip(comps, wanted)):
+        for v in comp:
+            comp_of[v] = i if keep else -1
+    want = next((comp for comp, keep in zip(comps, wanted) if keep), None)
+    assert first_component(bitset_rows(a), comp_of) == want
+
+
 def test_scc_word_boundaries_and_extremes():
     for n in (0, 1, 63, 64, 65, 127, 128, 129):
         empty = np.zeros((n, n), dtype=bool)
@@ -142,17 +170,69 @@ def test_reachability_matches_floyd_warshall(bits):
 
 
 def test_shortest_path_and_cycle():
-    a = adj_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    assert shortest_path(a, 0, 4) == [0, 3, 4]
-    assert shortest_path(a, 4, 0) is None
+    rows = bitset_rows(adj_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]))
+    assert shortest_path(rows, 0, 4) == [0, 3, 4]
+    assert shortest_path(rows, 4, 0) is None
     # start == goal asks for a genuine cycle
-    assert shortest_path(a, 0, 0) == [0, 1, 2, 0]
-    assert shortest_path(a, 3, 3) is None
+    assert shortest_path(rows, 0, 0) == [0, 1, 2, 0]
+    assert shortest_path(rows, 3, 3) is None
 
 
 def test_shortest_path_self_loop():
-    a = adj_from_edges(2, [(0, 0)])
-    assert shortest_path(a, 0, 0) == [0, 0]
+    rows = bitset_rows(adj_from_edges(2, [(0, 0)]))
+    assert shortest_path(rows, 0, 0) == [0, 0]
+
+
+def _reference_shortest_path(adj, start, goal):
+    """The seed's BFS over a dense adjacency: a queue of nodes, successors
+    in increasing id, each node keeping the first predecessor seen."""
+    prev = {}
+    q = deque()
+    for nxt in np.flatnonzero(adj[start]):
+        nxt = int(nxt)
+        if nxt not in prev:
+            prev[nxt] = start
+            q.append(nxt)
+    while q and goal not in prev:
+        node = q.popleft()
+        for nxt in np.flatnonzero(adj[node]):
+            nxt = int(nxt)
+            if nxt not in prev:
+                prev[nxt] = node
+                q.append(nxt)
+    if goal not in prev:
+        return None
+    path = [goal]
+    cur = prev[goal]
+    path.append(cur)
+    while cur != start:
+        cur = prev[cur]
+        path.append(cur)
+    path.reverse()
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.data())
+def test_paths_match_reference_bfs(a, data):
+    """shortest_path gives the seed's BFS path on the dense adjacency, and,
+    between two nodes of one component, the seed's path over that
+    component's subgraph alone, the loop a strong-reciprocity witness is
+    built from."""
+    n = a.shape[0]
+    if n == 0:
+        return
+    rows = bitset_rows(a)
+    start = data.draw(st.integers(0, n - 1))
+    goal = data.draw(st.integers(0, n - 1))
+    assert shortest_path(rows, start, goal) == _reference_shortest_path(a, start, goal)
+    for comp in _reference_scc(a):
+        inside = np.zeros(n, dtype=bool)
+        inside[comp] = True
+        sub = a.astype(bool) & inside[:, None] & inside[None, :]
+        x, y = comp[0], data.draw(st.sampled_from(comp))
+        for u, v in ((x, y), (y, x)):
+            assert shortest_path(rows, u, v) == _reference_shortest_path(sub, u, v)
 
 
 def _simple_cycles_bounded(adj, max_len):

@@ -6,23 +6,27 @@ seed's constructions.
 `_reference_subset` the n*n subset loop, `_reference_draw`
 the per-entry BeliefSet draw of `random_operator`, `_reference_dichotomy`
 the all-pairs dichotomy scan and `_reference_strong_reciprocity` the
-strong-reciprocity check over the whole input graph's components.  The
-references for relative success, regularity, reciprocity, success and
+strong-reciprocity check over the whole n*n input graph (edge-by-edge
+Tarjan and BFS, from test_graphs).  The references for relative success,
+regularity, confirmation, reciprocity, success, vacuity, consistency and
 cautiousness are loops over the postulates' definitions, and
 `REPORT_DIGEST` pins every report on the `_operators` corpus.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from test_conjunction import _reference_union_index, _universe
+from test_graphs import _reference_scc, _reference_shortest_path
 
-from choicerev import graphs
-from choicerev.logic import BeliefSet, LanguageSpec
+from choicerev.logic import BeliefSet, InputSet, LanguageSpec, SentenceClass, set_equiv
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
     _CHECKERS,
@@ -30,7 +34,6 @@ from choicerev.operators import (
     PostulateId,
     PostulateReport,
     Witness,
-    _scc_cycle,
     _tables,
     check_equivalences,
     check_postulate,
@@ -97,26 +100,44 @@ def _reference_dichotomy(op):
     return PostulateReport(PostulateId.DICHOTOMY, False, checked, skipped, witness=w)
 
 
-def _reference_strong_reciprocity(op):
-    k = op._kernel()
-    t = k.t
-    n = len(op.outputs)
-    meets = _reference_meets(op)
-    comps = graphs.strongly_connected_components(meets)
-    for comp in comps:
+def _reference_scc_cycle(adj, comp, x, y):
+    """The seed's directed cycle through x and y inside one strongly
+    connected component: BFS there and back on the masked adjacency."""
+    inside = np.zeros(adj.shape[0], dtype=bool)
+    inside[comp] = True
+    sub = adj & inside[:, None] & inside[None, :]
+    there = _reference_shortest_path(sub, x, y)
+    back = _reference_shortest_path(sub, y, x)
+    return there + back[1:-1]
+
+
+def _first_mixed_loop(adj, out):
+    """The seed's witness loop: edge-by-edge Tarjan over the whole graph,
+    the first component in output order holding two outcomes, and the
+    cycle through its first node and the first node with another outcome;
+    None when every component has one outcome."""
+    for comp in _reference_scc(adj):
         first = comp[0]
         for node in comp[1:]:
-            if k.out[node] != k.out[first]:
-                cycle = _scc_cycle(meets, comp, first, node)
-                w = Witness(
-                    tuple(t.sets[i] for i in cycle),
-                    tuple(op.outputs[i] for i in cycle),
-                    "loop of mutually meeting inputs with unequal outcomes",
-                )
-                return PostulateReport(
-                    PostulateId.STRONG_RECIPROCITY, False, n * n, witness=w
-                )
-    return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
+            if out[node] != out[first]:
+                return _reference_scc_cycle(adj, comp, first, node)
+    return None
+
+
+def _reference_strong_reciprocity(op):
+    """Strong reciprocity over the n*n input graph: the seed's broadcast
+    meets matrix and its witness loop."""
+    t = _tables(op.universe)
+    n = len(op.outputs)
+    cycle = _first_mixed_loop(_reference_meets(op), [o.mask for o in op.outputs])
+    if cycle is None:
+        return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
+    w = Witness(
+        tuple(t.sets[i] for i in cycle),
+        tuple(op.outputs[i] for i in cycle),
+        "loop of mutually meeting inputs with unequal outcomes",
+    )
+    return PostulateReport(PostulateId.STRONG_RECIPROCITY, False, n * n, witness=w)
 
 
 def _flipped(op, i):
@@ -213,9 +234,17 @@ def test_dichotomy_and_strong_reciprocity_match_references(n):
 
 
 def test_dichotomy_and_strong_reciprocity_match_references_at_697():
-    op = _operators(697)[2]
-    for p, reference in _REFERENCES:
-        assert _CHECKERS[p](op).to_dict() == reference(op).to_dict(), p.value
+    """Model-induced, random and flipped operators at full size: the
+    strong-reciprocity witness, read off the outcome quotient, is the
+    reference's loop through the first mixed component of the input graph."""
+    verdicts = {p: set() for p, _ in _REFERENCES}
+    for seed in range(3):
+        for op in _operators(697, seed):
+            for p, reference in _REFERENCES:
+                report = _CHECKERS[p](op)
+                assert report.to_dict() == reference(op).to_dict(), p.value
+                verdicts[p].add(report.holds)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 def _first_violating_pair(op, p):
@@ -269,6 +298,59 @@ def test_replaced_operator_gets_its_own_reports():
     broken = dataclasses.replace(op, outputs=(bottom,) * len(op.outputs))
     assert not check_postulate(broken, PostulateId.CONSISTENCY).holds
     assert check_postulate(op, PostulateId.CONSISTENCY).holds
+
+
+def test_reports_and_operators_survive_pickle_copy_and_replace():
+    """Reports and operators are slotted frozen dataclasses: pickle,
+    deepcopy and replace give equal objects, and replace gives the new
+    operator its own (empty) stash."""
+    op = _operators(137)[1]
+    reports = check_postulates(op)
+    assert not all(r.holds for r in reports.values())
+    objects = [op, check_equivalences(op), *reports.values()]
+    objects += [r.witness for r in reports.values() if r.witness is not None]
+    objects += list(check_equivalences(op).items)
+    for x in objects:
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), dataclasses.replace(x)):
+            assert type(y) is type(x) and y == x
+    again = pickle.loads(pickle.dumps(op))
+    assert {p: r.to_dict() for p, r in check_postulates(again).items()} == {
+        p: r.to_dict() for p, r in reports.items()
+    }
+    replaced = dataclasses.replace(op)
+    assert op._stash and replaced._stash == []
+
+
+def test_equal_reports_shared_per_universe():
+    """Tables on one universe share each passing report and each
+    equivalence report, so a caller keeping many batteries keeps them once;
+    failing reports, whose witnesses differ, are their own."""
+    ops = [op for seed in range(3) for op in _operators(137, seed)]
+    batteries = [check_postulates(op) for op in ops]
+    for p in PostulateId:
+        passing = [r[p] for r in batteries if r[p].holds]
+        assert passing and all(r is passing[0] for r in passing), p.value
+    failing = [r[p] for r in batteries for p in PostulateId if not r[p].holds]
+    assert len({id(r) for r in failing}) == len(failing)
+    eqs = [check_equivalences(op) for op in ops]
+    assert len({id(e) for e in eqs}) == len({json.dumps(e.to_dict()) for e in eqs}) < len(eqs)
+
+
+def test_failing_strong_reciprocity_builds_no_n_by_n_array():
+    """The witness comes from the n*g table and the quotient: the check's
+    peak allocation stays below n*n bytes, the size of one bool input graph."""
+    op = random_operator(1, _universe(697))
+    op._kernel()
+    n = len(op.outputs)
+    tracemalloc.start()
+    try:
+        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.holds
+    assert peak < n * n, peak
 
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
@@ -370,10 +452,44 @@ def _reference_cautiousness(op):
     return True, n * n, None
 
 
+def _reference_confirmation(op):
+    """(holds, checked, first witness): an input that meets K's theory
+    leaves K unchanged."""
+    sets = _tables(op.universe).sets
+    for a, o in zip(sets, op.outputs):
+        if theory_meets(a, op.K) and o != op.K:
+            return False, len(sets), (a,)
+    return True, len(sets), None
+
+
+def _reference_consistency(op):
+    """(holds, checked, first witness): every input not equivalent to the
+    contradiction singleton has a consistent outcome."""
+    sets = _tables(op.universe).sets
+    contradiction = InputSet(op.lang, frozenset({SentenceClass(op.lang, 0)}))
+    for a, o in zip(sets, op.outputs):
+        if not set_equiv(a, contradiction) and not o.is_consistent:
+            return False, len(sets), (a,)
+    return True, len(sets), None
+
+
+def _reference_vacuity(op):
+    """(holds, checked, first witness): the empty input returns K; checked
+    counts the empty inputs, one per universe."""
+    empty = [(a, o) for a, o in zip(_tables(op.universe).sets, op.outputs) if len(a) == 0]
+    for a, o in empty:
+        if o != op.K:
+            return False, len(empty), (a,)
+    return True, len(empty), None
+
+
 _DEFINITIONS = (
     (PostulateId.RELATIVE_SUCCESS, _reference_relative_success),
     (PostulateId.REGULARITY, _reference_regularity),
+    (PostulateId.CONFIRMATION, _reference_confirmation),
     (PostulateId.SUCCESS, _reference_success),
+    (PostulateId.VACUITY, _reference_vacuity),
+    (PostulateId.CONSISTENCY, _reference_consistency),
     (PostulateId.CAUTIOUSNESS, _reference_cautiousness),
 )
 

@@ -4,10 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from test_graphs import _reference_scc, _simple_cycles_bounded
-from test_kernel import _reference_meets
+from test_graphs import _simple_cycles_bounded
+from test_kernel import _reference_meets, _reference_strong_reciprocity
 
-from choicerev import graphs
 from choicerev.logic import (
     BeliefSet,
     InputSet,
@@ -317,8 +316,9 @@ def test_check_postulates_covers_all(induced_op):
 
 
 
-def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
-    """Witnesses at benchmark scale are byte-identical to the reference Tarjan's.
+def test_strong_reciprocity_witness_matches_reference_scc():
+    """Witnesses at benchmark scale are byte-identical to the reference's:
+    edge-by-edge Tarjan and BFS on the broadcast n*n meets matrix.
 
     Random and model-induced operators at n=137, one random at n=697.
     """
@@ -336,14 +336,7 @@ def test_strong_reciprocity_witness_matches_reference_scc(monkeypatch):
     ops.append(random_operator(0, u697))
 
     reports = [check_postulate(op, PostulateId.STRONG_RECIPROCITY) for op in ops]
-    monkeypatch.setattr(graphs, "strongly_connected_components", _reference_scc)
-    # fresh copies: the first reports are memoised on the operators' kernels
-    expected = [
-        check_postulate(
-            ChoiceOperator(op.universe, op.K, op.outputs), PostulateId.STRONG_RECIPROCITY
-        )
-        for op in ops
-    ]
+    expected = [_reference_strong_reciprocity(op) for op in ops]
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
     # the model-induced operators pass, the random ones fail with a witness
     assert [r.holds for r in reports] == [False] * 4 + [True] * 3 + [False]

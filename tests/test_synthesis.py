@@ -1,7 +1,10 @@
 """Model synthesis, representation round trips, the three-clause table."""
 
+import random
+
 import numpy as np
 import pytest
+from test_kernel import _first_mixed_loop
 
 from choicerev.believability import (
     BelievabilityRelation,
@@ -11,6 +14,7 @@ from choicerev.believability import (
 )
 from choicerev.logic import (
     BeliefSet,
+    InputSet,
     LanguageError,
     LanguageSpec,
     SentenceClass,
@@ -334,6 +338,47 @@ def test_footnote7_battery(lang3):
     for i in range(k):
         assert entails(w.outcomes[(i + 1) % k], w.items[i])
     assert len({o.mask for o in w.outcomes}) > 1
+
+
+def _sentential_ops():
+    """footnote 7, the own-closure operator, model-induced operators and
+    random tables at 2 and 3 atoms."""
+    ops = [footnote7_operator()]
+    for atoms in (2, 3):
+        lang = LanguageSpec(atoms)
+        ops.append(SententialOperator.from_function(
+            lang, BeliefSet.trivial(lang), lambda c, lang=lang: BeliefSet(lang, c.mask)
+        ))
+        m = generate_model(5, lang, (1 << atoms) + 2, ModelFlags(has_X3=True, has_leq3=True))
+        ops.append(SententialOperator.from_function(
+            lang, m.K, lambda c, m=m: choice_revise_via_model(m, InputSet(lang, frozenset({c})))
+        ))
+        for seed in range(6):
+            rng = random.Random(seed)
+            # a few distinct outcomes, so that some tables have no mixed loop
+            pool = [BeliefSet(lang, rng.randrange(lang.full_mask + 1)) for _ in range(seed % 3 + 1)]
+            k = BeliefSet(lang, rng.randrange(1, lang.full_mask + 1))
+            ops.append(SententialOperator.from_function(lang, k, lambda c, p=pool, r=rng: r.choice(p)))
+    return ops
+
+
+def test_sentential_strong_reciprocity_matches_reference():
+    """The loop is the seed's: edge-by-edge Tarjan over the membership
+    graph, built here from `entails`, and BFS there and back inside the
+    first mixed component."""
+    verdicts = set()
+    for op in _sentential_ops():
+        c = op.lang.full_mask + 1
+        classes = [SentenceClass(op.lang, x) for x in range(c)]
+        member = np.array([[entails(o, x) for o in op.outputs] for x in classes])
+        cycle = _first_mixed_loop(member, [o.mask for o in op.outputs])
+        strong = check_sentential_postulates(op)[SententialPostulateId.STRONG_RECIPROCITY]
+        assert strong.holds == (cycle is None)
+        if cycle is not None:
+            assert strong.witness.items == tuple(classes[i] for i in cycle)
+            assert strong.witness.outcomes == tuple(op.outputs[i] for i in cycle)
+        verdicts.add(strong.holds)
+    assert verdicts == {True, False}
 
 
 def test_own_closure_operator_passes_everything(lang3):
