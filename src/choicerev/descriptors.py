@@ -108,7 +108,7 @@ def choice_descriptor(a: InputSet) -> Molecular:
 def _bel_leaf(cur: _Cursor, ch: str) -> Union[BelAtom, None]:
     if ch != "B":
         return None
-    return BelAtom(class_of(cur.applied("B"), cur.lang))
+    return BelAtom(cur.applied("B"))
 
 
 def _bel_text(node: BelAtom) -> str:

@@ -6,7 +6,10 @@ bit i is the truth value of atom i.  A formula denotes the set of
 valuations satisfying it, packed into an int bitmask (bit v set iff
 valuation v is a model).  Two formulas are interchangeable for every
 operation in this package exactly when they have the same mask, so the
-mask itself serves as the canonical sentence-class identity.
+mask itself serves as the canonical sentence-class identity.  Source
+text goes straight to that mask: one parser core (`_Cursor`) walks the
+text, and a grammar whose constructors are int operations builds the
+mask, with no formula tree and no per-valuation evaluation.
 
 Belief sets are deductively closed theories, represented by their set of
 models (same bitmask packing).  The empty mask is the inconsistent
@@ -18,6 +21,7 @@ are all O(1) bit operations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -152,7 +156,9 @@ class _Grammar:
     (also the node classes the renderer dispatches on), a leaf rule and a
     leaf renderer.  The leaf rule gets the cursor, sitting on `ch`, and
     returns a node, or None when `ch` starts no leaf.  Everything else,
-    from precedence to error messages, is `_Cursor` and `format`.
+    from precedence to error messages, is `_Cursor` and `format`.  The
+    constructors may also be plain functions of the parsed children, as
+    in `_MASK`, a grammar that builds values and renders nothing.
     """
 
     def __init__(self, negation, not_, and_, or_, implies, leaf, leaf_text):
@@ -258,38 +264,50 @@ class _Cursor:
             raise ParseError("unexpected end of input", self.pos)
         raise ParseError(f"unexpected {ch!r}", self.pos)
 
-    def applied(self, name: str) -> Formula:
-        """`name(<formula>)`, the cursor sitting on name: the formula."""
+    def sentence(self) -> "SentenceClass":
+        """The class of the formula at the cursor, parsed straight to its mask."""
+        return SentenceClass(self.lang, self.expression(_MASK) & self.lang.full_mask)
+
+    def applied(self, name: str) -> "SentenceClass":
+        """`name(<formula>)`, the cursor sitting on name: the formula's class."""
         self.pos += len(name)
         self.expect("(", f"expected '(' after {name!r}")
-        formula = self.expression(_FORMULA)
+        c = self.sentence()
         self.expect(")", f"expected ')' closing {name + '('!r}")
-        return formula
+        return c
 
 
-def _formula_leaf(cur: _Cursor, ch: str) -> Union[Formula, None]:
-    if ch == "T":
-        cur.pos += 1
-        return Top()
-    if ch == "F":
-        cur.pos += 1
-        return Bottom()
-    if ch != "p":
-        return None
-    text, start = cur.text, cur.pos
-    end = start + 1
-    # ASCII digits only: str.isdigit also takes superscript and Arabic-Indic digits
-    while end < len(text) and "0" <= text[end] <= "9":
-        end += 1
-    if end == start + 1:
-        raise ParseError("expected atom index after 'p'", start)
-    index = int(text[start + 1:end])
-    if index >= cur.lang.atom_count:
-        raise ParseError(
-            f"atom index {index} out of range for {cur.lang.atom_count} atoms", start
-        )
-    cur.pos = end
-    return Atom(index)
+def _literals(top, bottom, atoms):
+    """The leaf rule for T, F and p<i>, which give top, bottom and atoms[i]."""
+
+    def leaf(cur: _Cursor, ch: str):
+        if ch == "T":
+            cur.pos += 1
+            return top
+        if ch == "F":
+            cur.pos += 1
+            return bottom
+        if ch != "p":
+            return None
+        text, start = cur.text, cur.pos
+        end = start + 1
+        # ASCII digits only: str.isdigit also takes superscript and Arabic-Indic digits
+        while end < len(text) and "0" <= text[end] <= "9":
+            end += 1
+        if end == start + 1:
+            raise ParseError("expected atom index after 'p'", start)
+        index = int(text[start + 1:end])
+        if index >= cur.lang.atom_count:
+            raise ParseError(
+                f"atom index {index} out of range for {cur.lang.atom_count} atoms", start
+            )
+        cur.pos = end
+        return atoms[index]
+
+    return leaf
+
+
+_formula_leaf = _literals(Top(), Bottom(), tuple(map(Atom, range(MAX_ATOMS))))
 
 
 def _formula_leaf_text(node: Formula) -> str:
@@ -303,6 +321,15 @@ def _formula_leaf_text(node: Formula) -> str:
 
 
 _FORMULA = _Grammar("~", Not, And, Or, Implies, _formula_leaf, _formula_leaf_text)
+
+# atom i's models among all 2**MAX_ATOMS valuations; a smaller language's
+# mask is the low full_mask bits of it.  Python ints are unbounded, so ~
+# stays exact until `_Cursor.sentence` cuts the result to full_mask.
+_ATOM_MASKS = tuple(
+    sum(1 << v for v in range(1 << MAX_ATOMS) if v >> i & 1) for i in range(MAX_ATOMS)
+)
+_MASK = _Grammar("~", operator.invert, operator.and_, operator.or_,
+                 lambda a, b: ~a | b, _literals(-1, 0, _ATOM_MASKS), None)
 
 
 def parse_formula(text: str, lang: LanguageSpec) -> Formula:
@@ -376,9 +403,16 @@ class SentenceClass:
 
 
 def class_of(formula: Union[Formula, str], lang: LanguageSpec) -> SentenceClass:
-    """Map a formula (tree or source text) to its sentence class."""
+    """Map a formula to its sentence class.
+
+    Source text is parsed straight to its mask, with no tree; a tree is
+    evaluated once per valuation.
+    """
     if isinstance(formula, str):
-        formula = parse_formula(formula, lang)
+        cur = _Cursor(formula, lang)
+        c = cur.sentence()
+        cur.finish()
+        return c
     mask = 0
     for v in lang.valuations():
         if evaluate(formula, v):
@@ -501,10 +535,19 @@ class InputSet:
 
 
 def parse_input_set(text: str, lang: LanguageSpec) -> InputSet:
-    """Comma-separated formulas -> InputSet. Blank text is the empty set."""
+    """Comma-separated formulas -> InputSet. Blank text is the empty set.
+
+    One cursor walks the whole text and parses each member straight to
+    its class, so a `ParseError` position counts from the start of `text`.
+    """
     if not text.strip():
         return InputSet.empty(lang)
-    return InputSet.of(lang, *[part.strip() for part in text.split(",")])
+    cur = _Cursor(text, lang)
+    classes = {cur.sentence()}
+    while cur.accept(","):
+        classes.add(cur.sentence())
+    cur.finish()
+    return InputSet(lang, frozenset(classes))
 
 
 def conj_all(a: InputSet) -> SentenceClass:

@@ -384,6 +384,11 @@ class ChoiceOperator:
         choices = model.outcomes + (model.K,)
         return cls(u, model.K, tuple(map(choices.__getitem__, rows)))
 
+    def __reduce__(self):
+        # pickle and copy only the table: the kernel in _stash holds the
+        # universe's tables, and a copy rebuilds it when first checked
+        return type(self), (self.universe, self.K, self.outputs)
+
     def _kernel(self) -> "_OpKernel":
         if not self._stash:
             self._stash.append(_OpKernel(self))

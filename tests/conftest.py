@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import pytest
 
 from choicerev import LanguageSpec, UniverseSpec
@@ -26,3 +29,14 @@ def u1(lang1):
 @pytest.fixture(scope="session")
 def u2(lang2):
     return UniverseSpec(lang2, 2)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded from the checkout as it stands."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -7,22 +7,6 @@ a verdict, a skipped-instance count or a round-trip artifact fails here,
 not only in the benchmark.
 """
 
-import importlib.util
-import os
-
-import pytest
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _window_counters(workload):
     """Whole cycles until the window is done, as the benchmark runs them."""

@@ -65,6 +65,11 @@ def test_revise_bad_formula(model_file, capsys):
                  "--atoms", "2"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # positions count from the start of the whole input, not of the member
+    code = main(["revise", "--model", model_file, "--input", "p0, p1 &",
+                 "--atoms", "2"])
+    assert code == 2
+    assert "unexpected end of input (at position 8)" in capsys.readouterr().err
 
 
 def test_revise_non_ascii_digit_is_usage_error(model_file, capsys):

@@ -4,7 +4,9 @@ The references below are the two separate recursive-descent parsers and
 the two renderers the package had before formulas and descriptors shared
 one grammar core.  Every public parse must give the reference's tree, or
 raise the reference's error with the same message and position, and
-every render must give the reference's text.
+every render must give the reference's text.  Text parsed straight to a
+sentence class must give the class of the reference's tree, evaluated
+valuation by valuation.
 """
 
 import pytest
@@ -37,6 +39,7 @@ from choicerev.logic import (
     class_of,
     format_formula,
     parse_formula,
+    parse_input_set,
 )
 
 from test_logic import formulas
@@ -214,6 +217,30 @@ def _ref_parse_descriptor(text, lang):
     return _RefDescParser(text, lang).parse_composite()
 
 
+def _ref_class_of(text, lang):
+    return class_of(_ref_parse_formula(text, lang), lang)
+
+
+def _ref_parse_input_set(text, lang):
+    """Split on commas and parse each member alone, its error positions
+    moved by the member's offset.  A member that ends too early ends at
+    the comma that follows it, so its end of input reads as that comma."""
+    if not text.strip():
+        return frozenset()
+    classes, offset = set(), 0
+    parts = text.split(",")
+    for i, part in enumerate(parts):
+        try:
+            classes.add(_ref_class_of(part, lang))
+        except ParseError as exc:
+            message = str(exc).rsplit(" (at position ", 1)[0]
+            if message == "unexpected end of input" and i + 1 < len(parts):
+                message = "unexpected ','"
+            raise ParseError(message, offset + exc.position) from None
+        offset += len(part) + 1
+    return frozenset(classes)
+
+
 def _ref_parse_molecular(text, lang):
     d = _ref_parse_descriptor(text, lang)
     if len(d) != 1:
@@ -354,6 +381,35 @@ def test_parsers_match_references(text, lang):
         assert _outcome(parse, text, lang) == _outcome(reference, text, lang), parse.__name__
 
 
+@settings(max_examples=1000, deadline=None)
+@given(texts, langs)
+def test_text_classes_match_evaluated_trees(text, lang):
+    """The mask grammar against the tree and `evaluate`."""
+    assert _outcome(class_of, text, lang) == _outcome(_ref_class_of, text, lang)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(texts, st.lists(texts, min_size=2, max_size=3).map(",".join)), langs)
+def test_input_sets_match_member_references(text, lang):
+    """One cursor over the whole input against one reference parse per member."""
+    got = _outcome(parse_input_set, text, lang)
+    if not isinstance(got, tuple):
+        got = got.classes
+    assert got == _outcome(_ref_parse_input_set, text, lang)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_pool_classes_match_model_masks(workloads, seed):
+    """Every revise_serve request text gives the member masks the
+    benchmark computes with its own evaluator."""
+    w = workloads.ReviseServe(seed)
+    w.setup()
+    for atoms, pool in w.pool.items():
+        lang = LanguageSpec(atoms)
+        for text, masks in pool:
+            assert {c.mask for c in parse_input_set(text, lang).classes} == masks, text
+
+
 @pytest.mark.parametrize(
     "parse, text, message, position",
     [
@@ -372,6 +428,11 @@ def test_parsers_match_references(text, lang):
         (parse_descriptor, "B(p0 p1)", "expected ')' closing 'B('", 5),
         (parse_descriptor, "B(p0),", "unexpected end of input", 6),
         (parse_descriptor, "B(p0), p0", "unexpected 'p'", 7),
+        (parse_input_set, "p0 ,p9", "atom index 9 out of range for 2 atoms", 4),
+        (parse_input_set, "p0, p1 &", "unexpected end of input", 8),
+        (parse_input_set, " , p0", "unexpected ','", 1),
+        (parse_input_set, "p0 &, p1", "unexpected ','", 4),
+        (parse_input_set, "p0, p1 p0", "unexpected 'p'", 7),
     ],
 )
 def test_error_positions(lang2, parse, text, message, position):
