@@ -9,10 +9,19 @@ single-sentence relation, and a derivation from a choice operator's
 outcome table.  Postulate suites for both levels, the lift/projection
 translations, relation-driven revision, and the metatheorem checkers
 used by the test battery all live here.
+
+The translations and the artifact writer are table operations: a single
+relation's rows unpack to a c*c bool matrix, the lift's table over a
+universe is two slot gathers from it, a projection reads the singleton
+rows and columns of a set-level table, and an artifact walks a table's
+rows against encodings kept once per language or universe as shared
+tuples.  On a table or a lift, none of them makes a point query per
+pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -144,18 +153,23 @@ class BelievabilityRelation:
         return self.holds(a, b) and self.holds(b, a)
 
     def matrix(self) -> np.ndarray:
+        """c*c bools, bit j of rows[i] at [i, j]: the rows' little-endian
+        bytes, unpacked in little bit order."""
         c = self.class_count
-        out = np.zeros((c, c), dtype=bool)
-        for i, r in enumerate(self.rows):
-            for j in range(c):
-                out[i, j] = (r >> j) & 1
-        return out
+        width = (c + 7) // 8
+        raw = b"".join(r.to_bytes(width, "little") for r in self.rows)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(c, width)
+        return np.unpackbits(packed, axis=1, count=c, bitorder="little").view(bool)
 
     @classmethod
     def from_matrix(cls, lang: LanguageSpec, m: np.ndarray) -> "BelievabilityRelation":
+        """The inverse of matrix(); m must be c*c, nonzero entries hold."""
         c = lang.full_mask + 1
-        rows = tuple(int(sum(1 << j for j in range(c) if m[i, j])) for i in range(c))
-        return cls(lang, rows)
+        m = np.asarray(m, dtype=bool)
+        if m.shape != (c, c):
+            raise ValueError(f"expected a {c}x{c} matrix, got {m.shape}")
+        packed = np.packbits(m, axis=1, bitorder="little")
+        return cls(lang, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @classmethod
     def from_layers(cls, lang: LanguageSpec, layers: list[list[int]]) -> "BelievabilityRelation":
@@ -288,13 +302,28 @@ class MultiBelievabilityRelation:
 
 
 def _lift_table(base: BelievabilityRelation, u: UniverseSpec) -> np.ndarray:
+    """The lift's n*n table over u, in two slot gathers (as _Tables.meets).
+
+    dom[x, b]: class x is at least as acceptable as every member of B,
+    the AND over B's slots of column gathers from base.matrix() with an
+    all-True extra column c for empty slots; then m[a, b] is the OR over
+    A's slots of row gathers from dom with an all-False extra row c.  So
+    the empty B is dominated by every class, and the empty A, which has
+    no member, ranks at least as high as the empty B only.  Cost:
+    max_input_size c*n and n*n byte gathers, no n*n*k*k temporary;
+    about 0.05 ms at n=137 and 0.25 ms at n=697 on one 2 GHz virtual CPU.
+    """
     t = _tables(u)
-    single = base.matrix()
-    mem = t.member
-    look = single[mem[:, None, :, None], mem[None, :, None, :]]
-    v_b = t.valid[None, :, None, :]
-    all_b = (look | ~v_b).all(axis=3)
-    m = (all_b & t.valid[:, None, :]).any(axis=2)
+    c = u.class_count
+    ge = np.ones((c, c + 1), dtype=bool)
+    ge[:, :c] = base.matrix()
+    dom = np.zeros((c + 1, len(t.sets)), dtype=bool)
+    dom[:c] = ge[:, t.slot[:, 0]]
+    for s in range(1, t.slot.shape[1]):
+        dom[:c] &= ge[:, t.slot[:, s]]
+    m = dom[t.slot[:, 0]]
+    for s in range(1, t.slot.shape[1]):
+        m |= dom[t.slot[:, s]]
     m[:, t.empty_index] = True
     return m
 
@@ -320,15 +349,22 @@ def lift(base: BelievabilityRelation) -> MultiBelievabilityRelation:
 
 
 def project(mb: MultiBelievabilityRelation) -> BelievabilityRelation:
-    """Restriction to singleton comparisons."""
-    lang = mb.lang
-    c = lang.full_mask + 1
-    m = np.zeros((c, c), dtype=bool)
-    for i in range(c):
-        a = InputSet.of(lang, SentenceClass(lang, i))
-        for j in range(c):
-            m[i, j] = mb.holds(a, InputSet.of(lang, SentenceClass(lang, j)))
-    return BelievabilityRelation.from_matrix(lang, m)
+    """Restriction to singleton comparisons.
+
+    Reads the c*c singleton rows and columns of the relation's own table
+    over its universe, or over the max_input_size 1 universe when it has
+    none (a lift or a bare fn), in one c*c gather: 0.02-0.03 ms on a
+    table at n=137, and 0.07 ms for a two-atom lift, whose n=17 table is
+    built first.  These are the relation's own set-level answers; a lift
+    is not short-cut to its base, so project(lift(r)) == r is a check of
+    the lift's table.  A universe without singletons raises
+    OutsideUniverseError, as a point query on {class 0} would.
+    """
+    u = mb.universe or UniverseSpec(mb.lang, 1)
+    sing = _tables(u).singleton_index
+    if sing[0] < 0:
+        raise OutsideUniverseError(InputSet.of(u.lang, SentenceClass(u.lang, 0)))
+    return BelievabilityRelation.from_matrix(u.lang, mb.table_over(u)[np.ix_(sing, sing)])
 
 
 def package_relation(base: BelievabilityRelation, a: InputSet, b: InputSet) -> bool:
@@ -1051,41 +1087,52 @@ def save_relation(
         fh.write("\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _class_codes(lang: LanguageSpec) -> tuple:
+    """SentenceClass.encode() of every class mask, as tuples."""
+    return tuple(tuple(_cls(lang, m).encode()) for m in range(lang.full_mask + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _set_codes(u: UniverseSpec) -> tuple:
+    """InputSet.encode() of every set of the universe, in universe order,
+    as tuples of the shared class codes."""
+    codes = _class_codes(u.lang)
+    return tuple(tuple(codes[m] for m in s.mask_tuple) for s in _tables(u).sets)
+
+
 def relation_to_json(
     rel: Union[BelievabilityRelation, MultiBelievabilityRelation]
 ) -> dict:
+    """{"atoms", "kind", "pairs"} (and "max_input_size" for "multi").
+
+    The pair list is new on each call and holds the table's true cells
+    in row-major order, each a (code, code) tuple.  A code is the
+    class's or set's encode() as nested tuples, computed once per
+    language or universe and shared by every artifact: tuples, so that no
+    caller can change a later artifact, and json.dumps writes them as it
+    writes lists.  The walk goes row by row, and each row's pairs are
+    zipped in C from the row's bools, so no more than one row is held as
+    a list next to the pair list.  Cost: one tuple per pair, about 2 ms
+    for the 12779 pairs of a relation derived at n=137 and 50-75 ms for
+    355559 at n=697 on one 2 GHz virtual CPU.
+    """
     if isinstance(rel, BelievabilityRelation):
-        lang = rel.lang
-        c = rel.class_count
-        pairs = [
-            [_cls(lang, i).encode(), _cls(lang, j).encode()]
-            for i in range(c)
-            for j in range(c)
-            if rel.holds(_cls(lang, i), _cls(lang, j))
-        ]
-        return {"atoms": lang.atom_count, "kind": "single", "pairs": pairs}
-    if rel.universe is None:
+        head = {"atoms": rel.lang.atom_count, "kind": "single"}
+        codes, m = _class_codes(rel.lang), rel.matrix()
+    elif rel.universe is None:
         raise ValueError(
             "only bounded relations can be serialized; materialize a table first"
         )
-    u = rel.universe
-    t = _tables(u)
-    m = rel.table_over(u)
-    # encode each set once, not once per pair it appears in; walk each
-    # row's nonzero columns, in row-major order, so that no index list
-    # longer than one row is held next to the pair list
-    encoded = [s.encode() for s in t.sets]
-    pairs = [
-        [encoded[i], encoded[j]]
-        for i, row in enumerate(m)
-        for j in np.flatnonzero(row).tolist()
-    ]
-    return {
-        "atoms": u.lang.atom_count,
-        "kind": "multi",
-        "max_input_size": u.max_input_size,
-        "pairs": pairs,
-    }
+    else:
+        u = rel.universe
+        head = {"atoms": u.lang.atom_count, "kind": "multi",
+                "max_input_size": u.max_input_size}
+        codes, m = _set_codes(u), rel.table_over(u)
+    pairs: list = []
+    for a, row in zip(codes, m):
+        pairs += zip(itertools.repeat(a), itertools.compress(codes, row.tolist()))
+    return {**head, "pairs": pairs}
 
 
 def relation_from_json(

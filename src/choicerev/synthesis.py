@@ -467,7 +467,7 @@ def verify_translation(
         3,
         True,
         "projection is quasi-linear and lifts back identically",
-        artifact=relation_to_json(project(r)),
+        artifact=relation_to_json(base),
         universe=header,
     )
 

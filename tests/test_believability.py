@@ -47,6 +47,7 @@ from choicerev.operators import (
     BASIC_POSTULATES,
     SUPPLEMENTARY_POSTULATES,
     ChoiceOperator,
+    OutsideUniverseError,
     UniverseSpec,
     enumerate_universe,
     passes,
@@ -429,6 +430,27 @@ def test_relation_json_errors(tmp_path, strict_order):
     )
     with pytest.raises(RelationFormatError, match="pair 0"):
         load_relation(str(p))
+
+
+def test_project_of_fn_built_relations(rank_trap, lang1, u1):
+    """project reads a fn-built relation's own answers: unbounded, over
+    the singleton universe; bounded, over its universe, which must hold
+    the singletons."""
+    one = [single_set(lang1, x) for x in range(4)]
+
+    def singleton_queries(mb):
+        m = np.array([[mb.holds(a, b) for b in one] for a in one])
+        return BelievabilityRelation.from_matrix(lang1, m)
+
+    bounded = MultiBelievabilityRelation(lang1, rank_trap.holds, u1)
+    for mb in (rank_trap, bounded):
+        got = project(mb)
+        assert got == singleton_queries(mb)
+        # {p0} and {~p0} tie, both below {T} and above {F}
+        assert got.rows == (0b0001, 0b0111, 0b0111, 0b1111)
+    no_singletons = MultiBelievabilityRelation(lang1, rank_trap.holds, UniverseSpec(lang1, 0))
+    with pytest.raises(OutsideUniverseError):
+        project(no_singletons)
 
 
 def test_check_multi_needs_universe(rank_trap):
