@@ -1135,6 +1135,32 @@ def relation_to_json(
     return {**head, "pairs": pairs}
 
 
+def _decode_pairs(pairs, decode: Callable, lang: LanguageSpec) -> tuple[list, np.ndarray]:
+    """Both codes of every pair decoded, each distinct code once: the
+    distinct values, and a (pairs, 2) array of each pair's positions
+    among them.
+
+    Codes are told apart by their repr, which is equal only for equal
+    codes among the lists, tuples and strings an artifact holds.  A bad
+    code raises at the first pair that holds it, with the message that
+    decoding it there gives.
+    """
+    index: dict[str, int] = {}
+    values: list = []
+    at: list[int] = []
+    for pos, pair in enumerate(pairs):
+        for side in (0, 1):
+            try:
+                key = repr(pair[side])
+                if key not in index:
+                    index[key] = len(values)
+                    values.append(decode(pair[side], lang))
+            except (ValueError, TypeError, IndexError) as exc:
+                raise RelationFormatError(f"pair {pos}: {exc}") from exc
+            at.append(index[key])
+    return values, np.array(at, dtype=np.intp).reshape(-1, 2)
+
+
 def relation_from_json(
     data: dict,
 ) -> Union[BelievabilityRelation, MultiBelievabilityRelation]:
@@ -1145,38 +1171,24 @@ def relation_from_json(
     except (KeyError, TypeError, ValueError) as exc:
         raise RelationFormatError(f"bad relation data: {exc}") from exc
     if kind == "single":
-        c = lang.full_mask + 1
-        m = np.zeros((c, c), dtype=bool)
-        for pos, pair in enumerate(pairs):
-            try:
-                a = SentenceClass.decode(pair[0], lang)
-                b = SentenceClass.decode(pair[1], lang)
-            except (ValueError, TypeError, IndexError) as exc:
-                raise RelationFormatError(f"pair {pos}: {exc}") from exc
-            m[a.mask, b.mask] = True
+        classes, at = _decode_pairs(pairs, SentenceClass.decode, lang)
+        cells = np.array([c.mask for c in classes], dtype=np.intp)[at]
+        m = np.zeros((lang.full_mask + 1,) * 2, dtype=bool)
+        m[cells[:, 0], cells[:, 1]] = True
         return BelievabilityRelation.from_matrix(lang, m)
     if kind == "multi":
         size = data.get("max_input_size")
-        decoded = []
-        for pos, pair in enumerate(pairs):
-            try:
-                a = InputSet.decode(pair[0], lang)
-                b = InputSet.decode(pair[1], lang)
-            except (ValueError, TypeError, IndexError) as exc:
-                raise RelationFormatError(f"pair {pos}: {exc}") from exc
-            decoded.append((a, b))
+        sets, at = _decode_pairs(pairs, InputSet.decode, lang)
         if size is None:
-            size = max((max(len(a), len(b)) for a, b in decoded), default=0)
+            size = max((len(s) for s in sets), default=0)
         u = UniverseSpec(lang, int(size))
-        t = _tables(u)
-        n = len(t.sets)
-        m = np.zeros((n, n), dtype=bool)
-        for pos, (a, b) in enumerate(decoded):
-            ia = t.index.get(a.mask_tuple)
-            ib = t.index.get(b.mask_tuple)
-            if ia is None or ib is None:
-                raise RelationFormatError(f"pair {pos}: set outside the universe")
-            m[ia, ib] = True
+        index = _tables(u).index
+        cells = np.array([index.get(s.mask_tuple, -1) for s in sets], dtype=np.intp)[at]
+        outside = (cells < 0).any(axis=1)
+        if outside.any():
+            raise RelationFormatError(f"pair {int(outside.argmax())}: set outside the universe")
+        m = np.zeros((u.size, u.size), dtype=bool)
+        m[cells[:, 0], cells[:, 1]] = True
         return MultiBelievabilityRelation.from_table(u, m)
     raise RelationFormatError(f"unknown relation kind {kind!r}")
 

@@ -4,9 +4,12 @@ or their rows as int bitsets."""
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+# bitset rows: a list, or a mapping that builds each row when first read
+Rows = Union[Sequence[int], Mapping[int, int]]
 
 
 def bitset_rows(adj: np.ndarray) -> list[int]:
@@ -21,14 +24,16 @@ def bitset_rows(adj: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(a.shape[0])]
 
 
-def _depth_first(rows: list[int]) -> Iterator[tuple[int, bool]]:
-    """Depth-first search over bitset rows that starts from the lowest
-    unvisited node and always moves on to the lowest unvisited successor.
+def _depth_first(rows: Rows, n: int) -> Iterator[tuple[int, bool]]:
+    """Depth-first search over the bitset rows of nodes 0..n-1 that starts
+    from the lowest unvisited node and always moves on to the lowest
+    unvisited successor.
 
     Yields (node, False) when a node is discovered and (node, True) when it
-    finishes.  Tarjan's SCC and `first_component` share this order.
+    finishes.  `strongly_connected_components` and `first_component` share
+    this order.  A row is read only while its node is on top of the path.
     """
-    unvisited = (1 << len(rows)) - 1
+    unvisited = (1 << n) - 1
     path: list[int] = []
     while unvisited or path:
         todo = (rows[path[-1]] if path else -1) & unvisited
@@ -42,7 +47,8 @@ def _depth_first(rows: list[int]) -> Iterator[tuple[int, bool]]:
 
 
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Tarjan's SCC over a dense digraph; adj[i, j] truthy means i -> j.
+    """Strongly connected components of a dense digraph, in the order
+    Tarjan's algorithm outputs them; adj[i, j] truthy means i -> j.
 
     Output order is a contract that strong-reciprocity witnesses rely on.
     The depth-first search starts from the lowest unvisited node and
@@ -50,68 +56,71 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     topological order and nodes inside a component keep discovery order.
     A component comes out when its first-discovered member finishes.
 
-    Cost: interpreted work is per node, not per edge.  Rows are packed
-    into int bitsets, so finding the next tree child is O(n/64) word
-    operations (O(n^2/64) in all); each node's low-link is finalised once,
-    when it finishes, by one vectorised min over its row (O(n^2) in all).
+    Cost: three passes over int bitset rows, with no numpy call per node.
+    `_depth_first` gives the discovery and finish orders.  Kosaraju's pass
+    over the transposed rows takes the nodes in decreasing finish time and
+    peels off, from each one not yet taken, the nodes still left that
+    reach it: its component.  The node a component is peeled from is the
+    member that finishes last, its first-discovered one, so Kosaraju's
+    components come out in the reverse of Tarjan's order.  A last pass
+    over the discovery order lists each component's members in that order.
+    Each pass does O(n/64) word operations per node, O(n^2/64) in all.
     """
     a = np.ascontiguousarray(adj, dtype=bool)
     n = a.shape[0]
-    rows = bitset_rows(a)
-    # discovery index of each node while it is on the stack, n + 1 otherwise
-    stack_index = np.full(n, n + 1, dtype=np.intp)
-    index = [0] * n
-    low = [0] * n
-    stack_pos = [0] * n
-    stack: list[int] = []
-    path: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for node, finished in _depth_first(rows):
-        if not finished:
-            index[node] = low[node] = stack_index[node] = counter
-            counter += 1
-            stack_pos[node] = len(stack)
-            stack.append(node)
-            path.append(node)
+    found: list[int] = []
+    done: list[int] = []
+    for node, finished in _depth_first(bitset_rows(a), n):
+        (done if finished else found).append(node)
+    back = bitset_rows(a.T)
+    label = [0] * n
+    left = (1 << n) - 1
+    count = 0
+    for root in reversed(done):
+        if not left >> root & 1:
             continue
-        path.pop()
-        # on-stack successors stay on the stack until node finishes, and
-        # successors discovered after node have larger indices, so one min
-        # now gives the low-link an edge-by-edge scan would
-        lo = low[node]
-        if rows[node]:
-            lo = min(lo, int(stack_index[a[node]].min()))
-        if lo == index[node]:
-            comp = stack[stack_pos[node]:]
-            del stack[stack_pos[node]:]
-            stack_index[comp] = n + 1
-            comps.append(comp)
-        elif lo < low[path[-1]]:
-            low[path[-1]] = lo
-    return comps
+        todo = 1 << root
+        left ^= todo
+        while todo:
+            node = (todo & -todo).bit_length() - 1
+            label[node] = count
+            new = back[node] & left
+            left ^= new
+            todo ^= 1 << node | new
+        count += 1
+    comps: list[list[int]] = [[] for _ in range(count)]
+    for node in found:
+        comps[label[node]].append(node)
+    return comps[::-1]
 
 
-def first_component(rows: list[int], comp_of: list[int]) -> Optional[list[int]]:
-    """The first component that `strongly_connected_components` outputs
-    among those comp_of names, with its nodes in the same order; None when
+def first_component(rows: Rows, comp_of: list[int]) -> Iterator[int]:
+    """The nodes of the first component that `strongly_connected_components`
+    outputs among those comp_of names, in the same order; none when
     comp_of names none.
 
     rows are the digraph's bitset rows.  comp_of[v] >= 0 must be the same
     id for exactly the nodes of v's strongly connected component, and -1
-    marks nodes whose component is not wanted.  With the components
-    known, no low-links are needed: a component comes out when its
+    marks nodes whose component is not wanted.  With the components known,
+    no low-links are needed: a component comes out when its
     first-discovered member finishes, and its nodes are its members in
     discovery order.  So one depth-first search, stopped there, gives it.
+    When comp_of names one component, that one is first, and each of its
+    nodes is yielded as soon as it is discovered: a caller that stops
+    reading stops the search.
     """
+    walk = _depth_first(rows, len(comp_of))
+    if len(set(comp_of) - {-1}) == 1:
+        yield from (node for node, finished in walk if not finished and comp_of[node] >= 0)
+        return
     members: dict[int, list[int]] = {}
-    for node, finished in _depth_first(rows):
+    for node, finished in walk:
         c = comp_of[node]
         if c >= 0 and not finished:
             members.setdefault(c, []).append(node)
         elif c >= 0 and members[c][0] == node:
-            return members[c]
-    return None
+            yield from members[c]
+            return
 
 
 def reachability(adj: np.ndarray) -> np.ndarray:
@@ -124,7 +133,7 @@ def reachability(adj: np.ndarray) -> np.ndarray:
         reach = nxt
 
 
-def shortest_path(rows: list[int], start: int, goal: int) -> Optional[list[int]]:
+def shortest_path(rows: Rows, start: int, goal: int) -> Optional[list[int]]:
     """BFS path start -> goal using >= 1 edge over bitset rows (see
     `bitset_rows`); None if unreachable.  start == goal asks for a cycle
     through start.
@@ -135,23 +144,29 @@ def shortest_path(rows: list[int], start: int, goal: int) -> Optional[list[int]]
     this is the path over that component's subgraph alone: a node that
     start reaches and that has an edge into the component is in it, so no
     other node is ever a predecessor there.
+
+    The queue holds each expanded node's new successors as one bitset, and
+    a node is taken out of it only when its turn to expand comes.  The goal
+    bit is tested before that, so the layer the goal is found in is never
+    listed node by node.
     """
     prev: dict[int, int] = {}
     seen = 0
-    queue = [start]
-    for node in queue:
-        new = rows[node] & ~seen
-        seen |= new
-        while new:
-            nxt = (new & -new).bit_length() - 1
-            prev[nxt] = node
-            queue.append(nxt)
-            new &= new - 1
-        if seen >> goal & 1:
-            path = [goal, prev[goal]]
-            while path[-1] != start:
-                path.append(prev[path[-1]])
-            return path[::-1]
+    queue = [(start, 1 << start)]
+    for parent, batch in queue:
+        while batch:
+            node = (batch & -batch).bit_length() - 1
+            batch &= batch - 1
+            prev[node] = parent
+            new = rows[node] & ~seen
+            if new >> goal & 1:
+                path = [goal, node]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            seen |= new
+            if new:
+                queue.append((node, new))
     return None
 
 
@@ -163,10 +178,9 @@ def stable_topological_order(
     must_precede[i, j] truthy means i has to come before j.  Returns None
     when the constraints are cyclic.
     """
-    indeg = [0] * n
-    for j in range(n):
-        indeg[j] = int(must_precede[:, j].sum()) - (1 if must_precede[j, j] else 0)
+    must_precede = np.asarray(must_precede, dtype=bool)
     # self-constraints are vacuous
+    indeg = (must_precede.sum(axis=0) - must_precede.diagonal()).tolist()
     ready = [(tie_key(i), i) for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []

@@ -498,8 +498,9 @@ class _OpKernel:
     the OR of M's rows over group i, one logical_or.reduceat over the rows
     sorted by group.  Reciprocity, strong reciprocity, model synthesis and
     relation derivation read it.  A failing strong-reciprocity check also
-    reads the input graph's components off the quotient and walks bitset
-    rows built from M (`_input_rows`), so no operator array is n*n.
+    reads the input graph's components off the quotient and walks it by
+    bitset rows that are built from M only for the inputs a walk expands
+    (`_InputRows`), so no operator array is n*n.
     """
 
     def __init__(self, op: ChoiceOperator):
@@ -769,8 +770,8 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # meeting their own group's outcome) never join a second node to a
     # component, so the diagonal needs no clearing.  The quotient has at
     # most 2^(2^atoms) nodes.
-    comps = graphs.strongly_connected_components(k.ge)
-    if all(len(comp) == 1 for comp in comps):
+    mixed = [comp for comp in graphs.strongly_connected_components(k.ge) if len(comp) > 1]
+    if not mixed:
         return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
     # The witness is the loop through the first mixed component of the
     # input graph (A_a -> A_b iff M[a, inv[b]]) in the SCC's output order,
@@ -779,17 +780,19 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # quotient component Q of inv[a], the inputs on a cycle in one Q form
     # one input component, and it is mixed iff Q has two or more groups.
     # The rest are single nodes, so one depth-first search finds the
-    # component's output position and discovery order.
-    qid = np.empty(len(k.uniq), dtype=np.intp)
-    for i, comp in enumerate(comps):
-        qid[comp] = i if len(comp) > 1 else -1
+    # component's output position and discovery order.  With one mixed
+    # component, x is the first input on a cycle that the search discovers
+    # and y the first one after it in another group, so the search stops
+    # at y; with more, it stops when the first one's first member finishes.
+    label = {j: i for i, comp in enumerate(mixed) for j in comp}
+    qid = np.array([label.get(j, -1) for j in range(len(k.uniq))])
     mine = qid[k.inv]
     on_cycle = (k.M & (qid == mine[:, None])).any(axis=1)
     comp_of = np.where(on_cycle & (mine >= 0), mine, -1).tolist()
-    rows = _input_rows(k)
-    comp = graphs.first_component(rows, comp_of)
-    x = comp[0]
-    y = next(v for v in comp[1:] if k.inv[v] != k.inv[x])
+    rows = _InputRows(k)
+    members = graphs.first_component(rows, comp_of)
+    x = next(members)
+    y = next(v for v in members if k.inv[v] != k.inv[x])
     # the BFS path there, then the BFS path back
     cycle = graphs.shortest_path(rows, x, y)[:-1] + graphs.shortest_path(rows, y, x)[:-1]
     w = Witness(
@@ -800,23 +803,24 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     return PostulateReport(PostulateId.STRONG_RECIPROCITY, False, n * n, witness=w)
 
 
-def _input_rows(k: "_OpKernel") -> list[int]:
-    """Bitset rows of the input graph, A_a -> A_b iff M[a, inv[b]].
+class _InputRows(dict):
+    """Bitset rows of the input graph, A_a -> A_b iff M[a, inv[b]], each
+    built when a walk first reads it.
 
-    Row a is the OR of the bitsets of the groups j with M[a, j].  Groups
-    are disjoint, so that OR is also a sum, and every row comes out of one
-    product: M times the group bitsets cut into 16-bit chunks.  float32
-    holds every such sum exactly, as it is an integer below 2^16.  No n*n
-    array is made.
+    The successors of A_a are whole groups, the j with M[a, j], so row a
+    is the OR of those groups' bitsets; groups are disjoint, so that OR is
+    also a sum.  Only the rows of the inputs a walk expands are built:
+    about 20 of 257 on a random operator at n=257, where the depth-first
+    search stops at the witness.
     """
-    n, g = k.M.shape
-    width = (n + 15) // 16
-    b = np.arange(n)
-    chunks = np.zeros((g, width), dtype=np.float32)
-    np.add.at(chunks, (k.inv, b >> 4), (1 << (b & 15)).astype(np.float32))
-    packed = (k.M.astype(np.float32) @ chunks).astype("<u2").tobytes()
-    step = 2 * width
-    return [int.from_bytes(packed[i:i + step], "little") for i in range(0, len(packed), step)]
+
+    def __init__(self, k: "_OpKernel"):
+        self.M = k.M
+        self.groups = graphs.bitset_rows(k.inv == np.arange(len(k.uniq))[:, None])
+
+    def __missing__(self, a: int) -> int:
+        row = self[a] = sum(itertools.compress(self.groups, self.M[a].tolist()))
+        return row
 
 
 _CHECKERS = {

@@ -121,8 +121,55 @@ def test_first_component_matches_reference_order(a, data):
     for i, (comp, keep) in enumerate(zip(comps, wanted)):
         for v in comp:
             comp_of[v] = i if keep else -1
-    want = next((comp for comp, keep in zip(comps, wanted) if keep), None)
-    assert first_component(bitset_rows(a), comp_of) == want
+    want = next((comp for comp, keep in zip(comps, wanted) if keep), [])
+    assert list(first_component(bitset_rows(a), comp_of)) == want
+
+
+class _CountingRows:
+    """Bitset rows that record which rows a walk reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return self.rows[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_first_component_of_one_stops_where_the_caller_does(a):
+    """With one component wanted, its nodes come out as the search
+    discovers them: after two nodes, no row past the second's discovery
+    has been read."""
+    comps = [c for c in _reference_scc(a) if len(c) > 1]
+    if not comps:
+        return
+    comp_of = [-1] * a.shape[0]
+    for v in comps[-1]:
+        comp_of[v] = 0
+    rows = _CountingRows(bitset_rows(a))
+    members = first_component(rows, comp_of)
+    assert [next(members), next(members)] == comps[-1][:2]
+    assert comps[-1][1] not in rows.read
+    assert list(members) == comps[-1][2:]
+
+
+@st.composite
+def quotient_sized_digraphs(draw):
+    """Dense digraphs of 100-200 nodes, the size of the outcome quotients
+    of random operators at n=257."""
+    n = draw(st.integers(100, 200))
+    density = draw(st.floats(0.005, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random((n, n)) < density
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_sized_digraphs())
+def test_scc_matches_reference_on_quotient_sized_digraphs(a):
+    assert strongly_connected_components(a) == _reference_scc(a)
 
 
 def test_scc_word_boundaries_and_extremes():
@@ -287,6 +334,49 @@ def test_stable_topological_order_cycle_none():
     # self-loops are vacuous, not cycles
     b = adj_from_edges(2, [(0, 0), (0, 1), (1, 1)])
     assert stable_topological_order(2, b, lambda i: i) == [0, 1]
+
+
+def _reference_in_degrees(n, must_precede):
+    """The per-column loop stable_topological_order used to count with."""
+    return [
+        int(must_precede[:, j].sum()) - (1 if must_precede[j, j] else 0) for j in range(n)
+    ]
+
+
+def _reference_topological_order(n, must_precede, tie_key):
+    """Kahn's algorithm over the loop's in-degrees and Python successor lists."""
+    indeg = _reference_in_degrees(n, must_precede)
+    ready = sorted((tie_key(i), i) for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        _, node = ready.pop(0)
+        order.append(node)
+        for j in range(n):
+            if j != node and must_precede[node, j]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    ready = sorted(ready + [(tie_key(j), j)])
+    return order if len(order) == n else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 0.5), st.sampled_from(["none", "all", "random"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_toposort_matches_loop_in_degrees(n, density, loops, acyclic, seed):
+    """Random constraint matrices, with and without self-constraints and
+    cycles: the same order, or None, as the per-column in-degree loop."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) < density
+    if acyclic:
+        perm = rng.permutation(n)
+        a = np.triu(a, 1)[np.ix_(perm, perm)]
+    if loops != "random":
+        np.fill_diagonal(a, loops == "all")
+    keys = rng.permutation(n).tolist()
+    want = _reference_topological_order(n, a, keys.__getitem__)
+    assert stable_topological_order(n, a, keys.__getitem__) == want
+    if acyclic:
+        assert want is not None
 
 
 @given(st.integers(0, 2 ** 9 - 1), st.permutations(range(3)))

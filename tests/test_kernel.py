@@ -11,11 +11,15 @@ Tarjan and BFS, from test_graphs).  The references for relative success,
 regularity, confirmation, reciprocity, success, vacuity, consistency and
 cautiousness are loops over the postulates' definitions, and
 `REPORT_DIGEST` pins every report on the `_operators` corpus.
+`_two_mixed_components` builds operators whose outcome quotient has two
+mixed components, where the strong-reciprocity walk cannot stop at the
+witness.
 """
 
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -26,6 +30,7 @@ import pytest
 from test_conjunction import _reference_union_index, _universe
 from test_graphs import _reference_scc, _reference_shortest_path
 
+from choicerev.graphs import strongly_connected_components
 from choicerev.logic import BeliefSet, InputSet, LanguageSpec, SentenceClass, set_equiv
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
@@ -245,6 +250,65 @@ def test_dichotomy_and_strong_reciprocity_match_references_at_697():
                 assert report.to_dict() == reference(op).to_dict(), p.value
                 verdicts[p].add(report.holds)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def _first_rule(u, rules, rest):
+    """The operator giving each input the outcome of the first rule
+    (need, outcome) that one of its members meets, by holding at every
+    valuation in need, and rest when none does; K is rest."""
+    def outcome(a):
+        for need, out in rules:
+            if any(c.mask & need == need for c in a.classes):
+                return BeliefSet(u.lang, out)
+        return BeliefSet(u.lang, rest)
+
+    return ChoiceOperator.from_function(u, BeliefSet(u.lang, rest), outcome)
+
+
+def _two_mixed_components(u):
+    """Operators whose outcome quotient has two mixed components, so a
+    failing strong-reciprocity check walks until the first one's first
+    member finishes.
+
+    For valuations p != q: {q} when a member holds at both, {p, q} when
+    one holds at q, the inconsistent set when one holds at p, else {p}.
+    Inputs with the first two outcomes meet each other's, as do inputs
+    with the last two (every nonempty input meets the inconsistent set),
+    and no input with one of the last two meets the first two.
+
+    For four distinct valuations a, b, c, d: {a} when a member holds at
+    b, else {b} when one holds at a, else {c} at d, else {d} at c, and {a}
+    for inputs holding nowhere.  When the lowest input on a cycle has
+    {a} or {b}, the first component discovered is not the first output.
+    """
+    bits = lambda *vs: sum(1 << v for v in vs)
+    valuations = range(u.lang.full_mask.bit_length())
+    for p, q in itertools.permutations(valuations, 2):
+        yield _first_rule(u, [(bits(p, q), bits(q)), (bits(q), bits(p, q)), (bits(p), 0)], bits(p))
+    for a, b, c, d in itertools.permutations(valuations, 4):
+        rules = [(bits(b), bits(a)), (bits(a), bits(b)), (bits(d), bits(c)), (bits(c), bits(d))]
+        yield _first_rule(u, rules, bits(a))
+
+
+def _mixed_components(op):
+    return sum(len(c) > 1 for c in strongly_connected_components(op._kernel().ge))
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_strong_reciprocity_full_walk_matches_reference(n):
+    """Operators whose quotient has two mixed components, so the walk
+    cannot stop at the witness, and one-entry flips of them that keep two:
+    the reports are the reference's."""
+    u = _universe(n)
+    ops = []
+    for base in _two_mixed_components(u):
+        ops += [base] + [_flipped(base, i) for i in range(0, n, max(1, n // 6))]
+    ops = [op for op in ops if _mixed_components(op) >= 2]
+    assert len(ops) >= 10
+    for op in ops:
+        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op)
+        assert not report.holds
+        assert report.to_dict() == _reference_strong_reciprocity(op).to_dict()
 
 
 def _first_violating_pair(op, p):

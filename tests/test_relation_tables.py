@@ -22,7 +22,7 @@ from choicerev.believability import (
     relation_from_json,
     relation_to_json,
 )
-from choicerev.logic import InputSet, LanguageSpec, SentenceClass
+from choicerev.logic import InputSet, LanguageError, LanguageSpec, SentenceClass
 from choicerev.models import GenerationError, ModelFlags, generate_model
 from choicerev.operators import (
     ChoiceOperator,
@@ -247,17 +247,106 @@ def test_multi_artifacts_match_pair_builder():
         u = rel.universe
         got = relation_to_json(rel)
         assert dumps(got) == dumps(artifact_reference(rel))
-        again = relation_from_json(json.loads(dumps(got)))
-        assert again.universe == u
-        assert np.array_equal(again.table_over(u), rel.table_over(u))
+        # read back from the JSON text and from the artifact's own tuples
+        for data in (json.loads(dumps(got)), got):
+            again = relation_from_json(data)
+            assert again.universe == u
+            assert np.array_equal(again.table_over(u), rel.table_over(u))
 
 
 def test_multi_artifact_at_697_matches_pair_builder():
     u = UniverseSpec(LanguageSpec(2), 3)
     rel = derive_mb_from_operator(model_operator(13, u))
-    got = dumps(relation_to_json(rel))
+    art = relation_to_json(rel)
+    got = dumps(art)
     want = dumps(artifact_reference(rel))
     assert len(got) > 10**6 and got == want
+    # read back from the artifact itself: json.loads of its 10^6 nested
+    # lists takes seconds of collector passes, and the JSON text's lists
+    # are read back at n <= 137 above
+    again = relation_from_json(art)
+    assert again.universe == u
+    assert np.array_equal(again.table_over(u), rel.table_over(u))
+
+
+def reference_from_json(data):
+    """relation_from_json's result or error, decoding both codes of every
+    pair as it comes and looking each set up by itself."""
+    lang = LanguageSpec(int(data["atoms"]))
+    decode = SentenceClass.decode if data["kind"] == "single" else InputSet.decode
+    decoded = []
+    for pos, pair in enumerate(data["pairs"]):
+        try:
+            decoded.append((decode(pair[0], lang), decode(pair[1], lang)))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise believability.RelationFormatError(f"pair {pos}: {exc}") from exc
+    if data["kind"] == "single":
+        c = lang.full_mask + 1
+        m = np.zeros((c, c), dtype=bool)
+        for a, b in decoded:
+            m[a.mask, b.mask] = True
+        return BelievabilityRelation.from_matrix(lang, m)
+    size = data.get("max_input_size")
+    if size is None:
+        size = max((max(len(a), len(b)) for a, b in decoded), default=0)
+    u = UniverseSpec(lang, int(size))
+    index = {s.mask_tuple: i for i, s in enumerate(enumerate_universe(u))}
+    m = np.zeros((u.size, u.size), dtype=bool)
+    for pos, (a, b) in enumerate(decoded):
+        if a.mask_tuple not in index or b.mask_tuple not in index:
+            raise believability.RelationFormatError(f"pair {pos}: set outside the universe")
+        m[index[a.mask_tuple], index[b.mask_tuple]] = True
+    return MultiBelievabilityRelation.from_table(u, m)
+
+
+def read_back(read, data):
+    try:
+        rel = read(data)
+    except (believability.RelationFormatError, LanguageError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(rel, BelievabilityRelation):
+        return rel.rows
+    return rel.universe, rel.table_over(rel.universe).tobytes()
+
+
+# codes that fail to decode, or decode to sets outside a small universe,
+# including ones hashable the same as a good code and ones not hashable
+BAD_CODES = [
+    None, 1, 1.5, True, "", "0", "01", "x", [], ["0"], ["01", "2"], ["010"],
+    [["0", "1"]], [["01"], "x"], [["01", "10"]], [["11"], ["00"]], [[["0"]]],
+    [["00"], ["01"], ["10"], ["11"]], {"a": 1},
+]
+
+
+def test_from_json_errors_match_pair_by_pair_decoding():
+    """Each distinct code is decoded once, and the result, or the error
+    with its pair position, is the pair-by-pair decoder's: bad codes and
+    short pairs, at the first pair, a middle one and the last, on top of
+    good artifacts of both kinds."""
+    rng = random.Random(3)
+    arts = []
+    for atoms, k in ((1, 2), (2, 1)):
+        u = UniverseSpec(LanguageSpec(atoms), k)
+        arts.append(relation_to_json(derive_mb_from_operator(random_operator(3, u))))
+        arts.append(relation_to_json(random_quasi_linear(3, u.lang)))
+    results = set()
+    for art in arts:
+        art = json.loads(dumps(art))
+        last = len(art["pairs"]) - 1
+        variants = [art, {k: v for k, v in art.items() if k != "max_input_size"}]
+        for bad in BAD_CODES:
+            for pos in (0, last // 2, last):
+                for broken in ([bad, art["pairs"][pos][1]], [art["pairs"][pos][0], bad], [bad]):
+                    data = json.loads(dumps(art))
+                    data["pairs"][pos] = broken
+                    if rng.random() < 0.5:
+                        data.pop("max_input_size", None)
+                    variants.append(data)
+        for data in variants:
+            want = read_back(reference_from_json, data)
+            assert read_back(relation_from_json, data) == want
+            results.add(type(want).__name__)
+    assert results == {"str", "tuple"}
 
 
 def test_mutating_an_artifact_leaves_later_ones_alone():
