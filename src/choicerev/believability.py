@@ -477,7 +477,7 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
     l = r.matrix()
 
     if p == RelationPostulateId.TRANSITIVITY:
-        viol = (l @ l) & ~l
+        viol = graphs.bool_product(l, l) & ~l
         if not viol.any():
             return _single_report(p, True, c ** 3)
         a, b = _first_true(viol)
@@ -490,10 +490,9 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
 
     if p == RelationPostulateId.COUPLING:
         masks = np.arange(c)
-        conj = masks[:, None] & masks[None, :]
         eq = l & l.T
-        target = eq[np.arange(c)[:, None], conj]
-        viol = eq & ~target
+        # eq[a, a & b] as a flat gather
+        viol = eq & ~eq.ravel()[masks[:, None] * c + (masks[:, None] & masks)]
         if not viol.any():
             return _single_report(p, True, c * c)
         a, b = _first_true(viol)
@@ -591,7 +590,7 @@ def _check_multi(
         return RelationReport(p, "multi", holds, checked, skipped, witness)
 
     if p == RelationPostulateId.TRANSITIVITY:
-        viol = (m @ m) & ~m
+        viol = graphs.bool_product(m, m) & ~m
         if not viol.any():
             return report(True, n ** 3)
         a, b = _first_true(viol)
@@ -606,8 +605,9 @@ def _check_multi(
         eq = m & m.T
         c2 = t.conj_index
         ok = c2 >= 0
-        target = eq[np.arange(n)[:, None], np.clip(c2, 0, None)]
-        viol = eq & ok & ~target
+        # eq[a, c2[a, b]] as a flat gather; an outside c2 of -1 reads a
+        # cell that ok discards
+        viol = eq & ok & ~eq.ravel()[np.arange(0, n * n, n)[:, None] + c2]
         skipped = int((~ok).sum())
         checked = n * n - skipped
         if not viol.any():
@@ -622,24 +622,26 @@ def _check_multi(
     if p == RelationPostulateId.WEAK_COUPLING:
         # one conclusion row per distinct pair (A, A conj B), not per cell
         # (a, b); checked and skipped are per-universe sums of
-        # multiplicity times evaluable d (see _Tables.conj_pairs)
-        eq = m & m.T
+        # multiplicity times evaluable d (see _Tables.conj_pairs).  flat
+        # holds eq's cell (a, x) at a*n + x; an outside c2 of -1 reads a
+        # cell that the c2 >= 0 and tgt >= 0 masks discard
+        flat = (m & m.T).ravel()
         c2 = t.conj_index
         pa, pv, pair_of, checked, skipped = t.conj_pairs
         # prem[a, d]: A conj D lies in the universe and keeps A's rank
-        prem = (c2 >= 0) & eq[np.arange(n)[:, None], c2]
-        live = np.flatnonzero(eq[pa, pv])
+        prem = (c2 >= 0) & flat[np.arange(0, n * n, n)[:, None] + c2]
+        live = np.flatnonzero(flat[pa * n + pv])
         bad = np.zeros(len(pa), dtype=bool)
         for blk in _row_blocks(len(live), n):
             q = live[blk]
             tgt = c2[pv[q]]
-            concl = eq[pa[q][:, None], tgt]
+            concl = flat[(pa[q] * n)[:, None] + tgt]
             bad[q] = (prem[pa[q]] & (tgt >= 0) & ~concl).any(axis=1)
         if not bad.any():
             return report(True, checked, skipped)
         a, b = _first_true((pair_of >= 0) & bad[pair_of])
         tgt = c2[pv[pair_of[a, b]]]
-        d = int(np.flatnonzero(prem[a] & (tgt >= 0) & ~eq[a, tgt])[0])
+        d = int(np.flatnonzero(prem[a] & (tgt >= 0) & ~flat[a * n + tgt])[0])
         w = RelationWitness(
             (sets[a], sets[b], sets[d]),
             "both pairwise adjunctions keep rank but the triple one drops it",
@@ -779,11 +781,13 @@ def random_quasi_linear(seed: int, lang: LanguageSpec) -> BelievabilityRelation:
     by noisy scores that respect entailment, then merge layers until the
     conjunction-compatibility postulates hold.  Validated post hoc.
 
-    Supports languages of 1 or 2 atoms.  With 3 atoms every draw puts two
-    classes whose conjunction is the contradiction into one layer, the
-    merge gives up, and after 500 draws GenerationError is raised.
+    Supports languages of 1 or 2 atoms; more raise LanguageError before
+    any draw.  With 3 atoms every draw puts two classes whose conjunction
+    is the contradiction into one layer and the merge gives up.
     """
     lang.require_exhaustive()
+    if lang.atom_count > 2:
+        raise LanguageError(f"random relations need 1 or 2 atoms, got {lang.atom_count}")
     rng = random.Random(seed)
     full = lang.full_mask
     c = full + 1
@@ -1111,11 +1115,12 @@ def relation_to_json(
     class's or set's encode() as nested tuples, computed once per
     language or universe and shared by every artifact: tuples, so that no
     caller can change a later artifact, and json.dumps writes them as it
-    writes lists.  The walk goes row by row, and each row's pairs are
-    zipped in C from the row's bools, so no more than one row is held as
-    a list next to the pair list.  Cost: one tuple per pair, about 2 ms
-    for the 12779 pairs of a relation derived at n=137 and 50-75 ms for
-    355559 at n=697 on one 2 GHz virtual CPU.
+    writes lists.  The pairs are picked in C from the product of the
+    codes with themselves by the table's bools, held as one list of n*n
+    entries while the walk runs; the product reuses its tuple for every
+    false cell, so only the kept pairs are allocated.  Cost: one tuple
+    per pair, about 1.3-1.5 ms for the 12779 pairs of a relation derived
+    at n=137 and 50-70 ms for 355559 at n=697 on one 2 GHz virtual CPU.
     """
     if isinstance(rel, BelievabilityRelation):
         head = {"atoms": rel.lang.atom_count, "kind": "single"}
@@ -1129,9 +1134,7 @@ def relation_to_json(
         head = {"atoms": u.lang.atom_count, "kind": "multi",
                 "max_input_size": u.max_input_size}
         codes, m = _set_codes(u), rel.table_over(u)
-    pairs: list = []
-    for a, row in zip(codes, m):
-        pairs += zip(itertools.repeat(a), itertools.compress(codes, row.tolist()))
+    pairs = list(itertools.compress(itertools.product(codes, repeat=2), m.ravel().tolist()))
     return {**head, "pairs": pairs}
 
 

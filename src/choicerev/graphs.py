@@ -1,5 +1,5 @@
 """Small graph helpers over dense index-based digraphs: numpy bool matrices,
-or their rows as int bitsets."""
+or their rows as int bitsets, and the one boolean matrix product."""
 
 from __future__ import annotations
 
@@ -123,11 +123,24 @@ def first_component(rows: Rows, comp_of: list[int]) -> Iterator[int]:
             return
 
 
+def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: out[i, j] says a[i, k] and b[k, j] for some k.
+
+    One float32 product, exact: each sum counts at most a.shape[1] ones,
+    far below 2^24 under UNIVERSE_CAP.  numpy's bool @ is a
+    short-circuiting loop whose cost depends on the data: 0.6-0.7 ms
+    against 0.055 ms on derived and lifted relation tables at n=137, on
+    one virtual CPU with OpenBLAS.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def reachability(adj: np.ndarray) -> np.ndarray:
-    """Paths of length >= 1: closure of adj under composition."""
-    reach = adj.astype(bool).copy()
+    """Paths of length >= 1: closure of adj under composition, by
+    repeated squaring with `bool_product`."""
+    reach = adj.astype(bool)
     while True:
-        nxt = reach | (reach @ reach)
+        nxt = reach | bool_product(reach, reach)
         if (nxt == reach).all():
             return reach
         reach = nxt

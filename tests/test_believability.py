@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from choicerev import believability
 from choicerev.believability import (
     QUASI_LINEAR_POSTULATES,
     STANDARD_POSTULATES,
@@ -37,6 +38,7 @@ from choicerev.believability import (
 from choicerev.logic import (
     BeliefSet,
     InputSet,
+    LanguageError,
     SentenceClass,
     class_of,
     conj_all,
@@ -167,6 +169,15 @@ def test_random_quasi_linear(lang1, lang2):
             assert is_quasi_linear(r)
     assert random_quasi_linear(3, lang2) == random_quasi_linear(3, lang2)
     assert random_quasi_linear(3, lang2) != random_quasi_linear(4, lang2)
+
+
+def test_random_quasi_linear_refuses_three_atoms_before_drawing(lang3, monkeypatch):
+    def no_draw(layers):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(believability, "_merge_for_coupling", no_draw)
+    with pytest.raises(LanguageError, match="1 or 2 atoms, got 3"):
+        random_quasi_linear(7, lang3)
 
 
 def test_random_quasi_linear_draws_pinned(lang1, lang2):

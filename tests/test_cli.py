@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,14 @@ def test_gen_model_flags(tmp_path, capsys):
 def test_gen_infeasible_is_usage_error(capsys):
     assert main(["gen", "model", "--atoms", "1", "--size", "4",
                  "--flags", "leq3"]) == 2
+
+
+def test_gen_relation_three_atoms_is_refused_at_once(capsys):
+    start = time.monotonic()
+    assert main(["gen", "relation", "--atoms", "3", "--seed", "7"]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: random relations need 1 or 2 atoms, got 3\n"
 
 
 def test_demo_footnote7(capsys):

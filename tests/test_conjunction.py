@@ -98,15 +98,18 @@ def _reference_conj3_index(t, conj_sets):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_tables(n):
+    """(conj_index, conj3_index) at n, built once per test session."""
+    t = _tables(_universe(n))
+    sets = _reference_conj_sets(t)
+    return _reference_conj_index(t, sets), _reference_conj3_index(t, sets)
+
+
 @pytest.fixture(scope="module")
 def references():
     """n -> (conj_index, conj3_index) for n = 16, 17, 137."""
-    out = {}
-    for n in (16, 17, 137):
-        t = _tables(_universe(n))
-        sets = _reference_conj_sets(t)
-        out[n] = (_reference_conj_index(t, sets), _reference_conj3_index(t, sets))
-    return out
+    return {n: _reference_tables(n) for n in (16, 17, 137)}
 
 
 def _reference_weak_coupling(rel, u, c2, c3):

@@ -216,6 +216,59 @@ def test_reachability_matches_floyd_warshall(bits):
     assert (r == expected).all()
 
 
+def _reference_closure(a):
+    """Paths of length >= 1: a breadth-first search from each node's
+    successors."""
+    n = a.shape[0]
+    succ = [np.flatnonzero(a[i]).tolist() for i in range(n)]
+    out = np.zeros((n, n), dtype=bool)
+    for s in range(n):
+        seen = set(succ[s])
+        queue = deque(seen)
+        while queue:
+            for w in succ[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out[s, sorted(seen)] = True
+    return out
+
+
+@st.composite
+def closure_digraphs(draw):
+    """Digraphs of 1-200 nodes, sparse enough for long paths, with an
+    optional cycle through every node and any self-loops."""
+    n = draw(st.integers(1, 200))
+    density = draw(st.floats(0.0, 1.0) | st.floats(0.0, 3.0).map(lambda c: c / n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.random((n, n)) < density
+    if draw(st.booleans()):
+        a |= np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    loops = draw(st.sampled_from(["none", "all", "random"]))
+    if loops != "random":
+        np.fill_diagonal(a, loops == "all")
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_digraphs())
+def test_reachability_matches_breadth_first_closure(a):
+    r = reachability(a)
+    assert r.dtype == bool
+    assert np.array_equal(r, _reference_closure(a))
+
+
+def test_reachability_at_160_nodes():
+    """A quotient-sized digraph: a path through all 160 nodes, so the
+    squaring runs to paths of length 159, plus sparse random edges."""
+    n = 160
+    a = np.random.default_rng(160).random((n, n)) < 0.004
+    a |= np.eye(n, k=1, dtype=bool)
+    r = reachability(a)
+    assert np.array_equal(r, _reference_closure(a))
+    assert r[0, n - 1]
+
+
 def test_shortest_path_and_cycle():
     rows = bitset_rows(adj_from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]))
     assert shortest_path(rows, 0, 4) == [0, 3, 4]

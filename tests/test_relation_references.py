@@ -1,0 +1,349 @@
+"""Transitivity and coupling, at both levels, against references written
+from the definitions; and a digest over every relation postulate report.
+
+Transitivity: for every pair (a, b) in scan order, a middle element
+that a ranks at least as high as and that ranks at least as high as b
+forces a to rank at least as high as b.  The reference keeps each row
+as an int bitset and ORs the rows of a's successors.  Coupling: two
+equally acceptable items have a conjunction exactly as acceptable as
+the first; the set-level reference builds each pairwise conjunction
+member by member and looks it up by its sorted member masks, skipping
+those outside the universe.  Each reference returns the checker's
+report: verdict, checked, skipped, and the first witness in scan order,
+with the smallest middle element for transitivity.
+"""
+
+import functools
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+
+from test_conjunction import (
+    _corpus,
+    _models,
+    _reference_tables,
+    _reference_weak_coupling,
+    _universe,
+)
+
+from choicerev.believability import (
+    QUASI_LINEAR_POSTULATES,
+    BelievabilityRelation,
+    MultiBelievabilityRelation,
+    RelationPostulateId,
+    RelationReport,
+    RelationWitness,
+    _check_multi,
+    _check_single,
+    check_relation_postulate,
+    derive_mb_from_operator,
+    lift,
+    random_quasi_linear,
+)
+from choicerev.logic import LanguageSpec, SentenceClass
+from choicerev.operators import ChoiceOperator, _tables, random_operator
+from choicerev.synthesis import verify_roundtrip_relation, verify_translation
+
+TR = RelationPostulateId.TRANSITIVITY
+CP = RelationPostulateId.COUPLING
+WC = RelationPostulateId.WEAK_COUPLING
+
+CHAIN = "chain holds but the endpoints do not compare"
+
+
+def _bits(x):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _int_rows(m):
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in m]
+
+
+def _transitivity_witness(rows, items):
+    """(a, mid, b) for the first pair (a, b) in scan order with a middle
+    element but no comparison, the smallest such mid; None if none."""
+    for a, row in enumerate(rows):
+        two = 0
+        for mid in _bits(row):
+            two |= rows[mid]
+        bad = two & ~row
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            mid = next(mid for mid in _bits(row) if rows[mid] >> b & 1)
+            return RelationWitness((items[a], items[mid], items[b]), CHAIN)
+    return None
+
+
+def reference_single_transitivity(r):
+    c = r.class_count
+    items = [SentenceClass(r.lang, x) for x in range(c)]
+    w = _transitivity_witness(list(r.rows), items)
+    return RelationReport(TR, "single", w is None, c ** 3, 0, w)
+
+
+def reference_multi_transitivity(rel, u):
+    sets = _tables(u).sets
+    n = len(sets)
+    w = _transitivity_witness(_int_rows(rel.table_over(u)), sets)
+    return RelationReport(TR, "multi", w is None, n ** 3, 0, w)
+
+
+def reference_single_coupling(r):
+    c = r.class_count
+    ge = [[bool(row >> y & 1) for y in range(c)] for row in r.rows]
+    first = None
+    for a in range(c):
+        for b in range(c):
+            ab = a & b
+            if ge[a][b] and ge[b][a] and not (ge[a][ab] and ge[ab][a]):
+                first = RelationWitness(
+                    tuple(SentenceClass(r.lang, x) for x in (a, b, ab)),
+                    "equally acceptable pair whose conjunction drops rank",
+                )
+                break
+        if first:
+            break
+    return RelationReport(CP, "single", first is None, c * c, 0, first)
+
+
+def reference_multi_coupling(rel, u):
+    t = _tables(u)
+    ge = rel.table_over(u).tolist()
+    sets = t.sets
+    checked = skipped = 0
+    first = None
+    for a, sa in enumerate(sets):
+        for b, sb in enumerate(sets):
+            members = {x & y for x in sa.mask_tuple for y in sb.mask_tuple}
+            ab = t.index.get(tuple(sorted(members)))
+            if ab is None:
+                skipped += 1
+                continue
+            checked += 1
+            if first is None and ge[a][b] and ge[b][a] and not (ge[a][ab] and ge[ab][a]):
+                first = RelationWitness(
+                    (sa, sb, sets[ab]),
+                    "equally acceptable pair whose pairwise conjunction drops rank",
+                )
+    return RelationReport(CP, "multi", first is None, checked, skipped, first)
+
+
+def _flip_single(r, i, j):
+    rows = list(r.rows)
+    rows[i] ^= 1 << j
+    return BelievabilityRelation(r.lang, tuple(rows))
+
+
+def _flip_multi(rel, u, i, j):
+    m = rel.table_over(u).copy()
+    m[i, j] = not m[i, j]
+    return MultiBelievabilityRelation.from_table(u, m)
+
+
+def _transitivity_cells(m):
+    """Cells (a, b), a != b, with a middle element distinct from both:
+    clearing one may break transitivity."""
+    ints = m.astype(np.int64)
+    diag = np.diag(ints)
+    strict_mid = ints @ ints - diag[:, None] * ints - ints * diag[None, :]
+    return [(int(a), int(b)) for a, b in np.argwhere(m & (strict_mid > 0)) if a != b]
+
+
+def _coupling_cells(m, conj):
+    """Cells (a, A conj B) for equally acceptable A, B whose conjunction is
+    a third item: clearing one may break coupling."""
+    eq = m & m.T
+    out = []
+    for a, b in np.argwhere(eq):
+        ab = int(conj(int(a), int(b)))
+        if ab >= 0 and ab not in (a, b) and m[a, ab]:
+            out.append((int(a), ab))
+    return out
+
+
+def _breaking_flip(cells, flip, reference, seed, tries=40):
+    """The first of up to `tries` seeded candidate flips that the reference
+    says breaks the postulate, with its reference report; None if none."""
+    rng = random.Random(seed)
+    for cell in rng.sample(cells, min(tries, len(cells))):
+        broken = flip(*cell)
+        want = reference(broken)
+        if not want.holds:
+            return broken, want
+    return None
+
+
+def single_relations():
+    """Quasi-linear draws, arbitrary rows and one-entry flips of the draws
+    at 1 and 2 atoms."""
+    rng = random.Random(5)
+    out = []
+    for atoms in (1, 2):
+        lang = LanguageSpec(atoms)
+        c = lang.full_mask + 1
+        draws = [random_quasi_linear(seed, lang) for seed in range(12)]
+        out += draws
+        out += [BelievabilityRelation(lang, tuple(rng.getrandbits(c) for _ in range(c)))
+                for _ in range(6)]
+        out += [_flip_single(r, rng.randrange(c), rng.randrange(c)) for r in draws]
+    return out
+
+
+def test_single_checkers_match_references():
+    verdicts = {TR: set(), CP: set()}
+    for r in single_relations():
+        for p, reference in ((TR, reference_single_transitivity), (CP, reference_single_coupling)):
+            got = _check_single(r, p)
+            assert got == reference(r), (p.value, r.rows)
+            verdicts[p].add(got.holds)
+    assert verdicts == {TR: {True, False}, CP: {True, False}}
+
+
+def test_single_holds_breaks_under_flip():
+    """A passing verdict on a draw turns false under a one-entry flip the
+    reference says breaks the postulate.  A one-atom draw may have no two
+    equally acceptable classes whose conjunction is a third class."""
+    broken_count = {TR: 0, CP: 0}
+    for atoms in (1, 2):
+        lang = LanguageSpec(atoms)
+        for seed in range(6):
+            r = random_quasi_linear(seed, lang)
+            m = r.matrix()
+            cases = (
+                (TR, reference_single_transitivity, _transitivity_cells(m)),
+                (CP, reference_single_coupling, _coupling_cells(m, lambda a, b: a & b)),
+            )
+            for p, reference, cells in cases:
+                assert _check_single(r, p).holds
+                found = _breaking_flip(cells, functools.partial(_flip_single, r), reference, seed)
+                assert (found is not None) == bool(cells), (p.value, seed)
+                if found:
+                    broken, want = found
+                    assert _check_single(broken, p) == want
+                    broken_count[p] += 1
+    assert min(broken_count.values()) >= 5, broken_count
+
+
+def _multi_cases(n):
+    u = _universe(n)
+    return u, _corpus(u, seed=n)
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_multi_checkers_match_references(n):
+    u, rels = _multi_cases(n)
+    verdicts = {TR: set(), CP: set()}
+    for rel in rels:
+        for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
+            got = _check_multi(rel, p, u)
+            assert got.to_dict() == reference(rel, u).to_dict(), p.value
+            verdicts[p].add(got.holds)
+    assert verdicts == {TR: {True, False}, CP: {True, False}}
+
+
+def _multi_breaking_flips(rel, u, seed):
+    """(postulate, flipped relation, reference report) for transitivity and
+    coupling, where the relation holds and a breaking flip is found."""
+    t = _tables(u)
+    m = rel.table_over(u)
+    flip = functools.partial(_flip_multi, rel, u)
+    out = []
+    cases = (
+        (TR, reference_multi_transitivity, lambda: _transitivity_cells(m)),
+        (CP, reference_multi_coupling, lambda: _coupling_cells(m, lambda a, b: t.conj_index[a, b])),
+    )
+    for p, reference, cells in cases:
+        if not _check_multi(rel, p, u).holds:
+            continue
+        found = _breaking_flip(cells(), flip, lambda r: reference(r, u), seed)
+        if found:
+            out.append((p, *found))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_multi_holds_breaks_under_flip(n):
+    """Each passing transitivity or coupling verdict on a derived or lifted
+    relation turns false under a flip the reference says breaks it, and
+    weak coupling on the flipped tables matches its own references."""
+    u, rels = _multi_cases(n)
+    c2, c3 = _reference_tables(n)
+    broken = {TR: 0, CP: 0}
+    for i, rel in enumerate(rels):
+        for p, flipped, want in _multi_breaking_flips(rel, u, seed=i):
+            assert not want.holds
+            assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
+            got_wc = _check_multi(flipped, WC, u)
+            assert got_wc.to_dict() == _reference_weak_coupling(flipped, u, c2, c3).to_dict()
+            broken[p] += 1
+    assert broken[TR] >= 5 and broken[CP] >= 5, broken
+
+
+def test_multi_checkers_match_references_at_697():
+    """A derived relation, and the one-entry flip that clears a comparison
+    a chain a -> mid -> b implies."""
+    u = _universe(697)
+    model = _models(u.lang, 1, seed=697)[0]
+    rel = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
+    m = rel.table_over(u)
+    rng = random.Random(697)
+    a, mid, b = next(
+        (a, mid, b)
+        for a, mid, b in (rng.sample(range(697), 3) for _ in range(10000))
+        if m[a, mid] and m[mid, b] and m[a, b]
+    )
+    verdicts = []
+    for r in (rel, _flip_multi(rel, u, a, b)):
+        for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
+            got = _check_multi(r, p, u)
+            assert got.to_dict() == reference(r, u).to_dict(), p.value
+            verdicts.append(got.holds)
+    assert verdicts[0] and not verdicts[2]
+
+
+# Every relation postulate report on the corpus below, and every round-trip
+# and translation report at n=137, goes into it, so a change to any
+# verdict, count, witness or artifact fails here.
+RELATION_REPORT_DIGEST = "2eb9c93a36b5d5bc78284ac971a37bcbaca54014a3b697f575e70a0978302d42"
+
+
+def test_relation_report_digest_pinned():
+    h = hashlib.sha256()
+
+    def add(report):
+        h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+
+    for n in (16, 17, 137):
+        u, rels = _multi_cases(n)
+        for rel in rels:
+            for p in RelationPostulateId:
+                add(check_relation_postulate(rel, p, u))
+    rng = random.Random(14)
+    for atoms in (1, 2):
+        lang = LanguageSpec(atoms)
+        c = lang.full_mask + 1
+        for seed in range(12):
+            r = random_quasi_linear(seed, lang)
+            for rel in (r, _flip_single(r, rng.randrange(c), rng.randrange(c))):
+                for p in QUASI_LINEAR_POSTULATES:
+                    add(check_relation_postulate(rel, p))
+    u = _universe(137)
+    ops = [ChoiceOperator.from_model(m, u.max_input_size) for m in _models(u.lang, 8, seed=14)]
+    ops += [random_operator(s, u) for s in range(2)]
+    for op in ops:
+        add(verify_roundtrip_relation(op))
+        add(verify_roundtrip_relation(op, standard=True))
+    for seed in range(8):
+        r = random_quasi_linear(seed, u.lang)
+        add(verify_translation(r))
+        add(verify_translation(lift(r)))
+        add(verify_translation(_flip_single(r, rng.randrange(16), rng.randrange(16))))
+    for op in ops[:4]:
+        add(verify_translation(derive_mb_from_operator(op)))
+    assert h.hexdigest() == RELATION_REPORT_DIGEST
