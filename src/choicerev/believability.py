@@ -41,7 +41,7 @@ from .logic import (
     conj_all,
     pairwise_conj,
 )
-from .models import GenerationError
+from .models import GenerationError, _load_json
 from .operators import (
     ChoiceOperator,
     OutsideUniverseError,
@@ -1199,14 +1199,4 @@ def relation_from_json(
 def load_relation(
     path: str,
 ) -> Union[BelievabilityRelation, MultiBelievabilityRelation]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise RelationFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(data, dict):
-        raise RelationFormatError(f"{path}: expected a JSON object")
-    try:
-        return relation_from_json(data)
-    except RelationFormatError as exc:
-        raise RelationFormatError(f"{path}: {exc}") from exc
+    return _load_json(path, RelationFormatError, relation_from_json)

@@ -44,7 +44,7 @@ from .logic import (
     Top,
     format_formula,
 )
-from .models import RelationalModel
+from .models import RelationalModel, _load_json
 
 UNIVERSE_CAP = 2000
 
@@ -455,13 +455,39 @@ def _model_rows(model: RelationalModel, u: UniverseSpec) -> np.ndarray:
 
 
 def random_operator(seed: int, u: UniverseSpec) -> ChoiceOperator:
-    """Seeded table with outcomes uniform over all belief sets; K consistent."""
-    rng = random.Random(seed)
+    """Seeded table with outcomes uniform over all belief sets; K consistent.
+
+    The draw is the stream of `rng.randrange(1, full + 1)` for K, then one
+    `rng.randrange(0, full + 1)` per input in scan order, with
+    rng = random.Random(seed).  The outputs are read from batches of
+    32-bit Mersenne Twister words, and that is exact: randrange(0, m) with
+    m = full + 1 = 2^(2^atoms) is CPython's `_randbelow_with_getrandbits`,
+    which takes one word per try (m has at most 17 bits under MAX_ATOMS),
+    shifts it right by 32 - m.bit_length() and tries again while the
+    value is >= m.  getrandbits(32 * w) packs w words little-endian in
+    the order the generator makes them, so shifting every word of a batch
+    and keeping the values <= full, in order, gives the same outputs.
+    Half the words pass; a batch of 3 words per missing output plus 32
+    rarely needs a second.  Words drawn past the last output are never
+    used, since the generator is local to the call.  The outputs are the
+    universe's shared `_Tables.belief_sets` objects.
+    """
+    return _draw_operator(random.Random(seed), u)
+
+
+def _draw_operator(rng: random.Random, u: UniverseSpec) -> ChoiceOperator:
+    """`random_operator`'s draw from a given generator."""
     full = u.lang.full_mask
     t = _tables(u)
+    n = len(t.sets)
     k = t.belief_sets[rng.randrange(1, full + 1)]
-    outputs = tuple(t.belief_sets[rng.randrange(0, full + 1)] for _ in t.sets)
-    return ChoiceOperator(u, k, outputs)
+    shift = 32 - (full + 1).bit_length()
+    masks: list[int] = []
+    while len(masks) < n:
+        w = 3 * (n - len(masks)) + 32
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4") >> shift
+        masks += words[words <= full].tolist()
+    return ChoiceOperator(u, k, tuple(map(t.belief_sets.__getitem__, masks[:n])))
 
 
 def save_operator(op: ChoiceOperator, path: str) -> None:
@@ -471,17 +497,7 @@ def save_operator(op: ChoiceOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> ChoiceOperator:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise OperatorFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(data, dict):
-        raise OperatorFormatError(f"{path}: expected a JSON object")
-    try:
-        return ChoiceOperator.from_json(data)
-    except OperatorFormatError as exc:
-        raise OperatorFormatError(f"{path}: {exc}") from exc
+    return _load_json(path, OperatorFormatError, ChoiceOperator.from_json)
 
 
 class _OpKernel:
@@ -495,26 +511,26 @@ class _OpKernel:
     M[a, inv[b]], so the postulates about meeting read M and no n*n table
     is kept; diag[a] says that A_a meets its own outcome.  ge[i, j], the
     outcome quotient, says that some input with outcome i meets outcome j:
-    the OR of M's rows over group i, one logical_or.reduceat over the rows
-    sorted by group.  Reciprocity, strong reciprocity, model synthesis and
-    relation derivation read it.  A failing strong-reciprocity check also
-    reads the input graph's components off the quotient and walks it by
-    bitset rows that are built from M only for the inputs a walk expands
-    (`_InputRows`), so no operator array is n*n.
+    the OR of M's rows over group i, one `graphs.bool_product` of the g*n
+    group indicator (group[inv[a], a]) with M.  Reciprocity, strong
+    reciprocity, model synthesis and relation derivation read it.  A
+    failing strong-reciprocity check also reads the input graph's
+    components off the quotient and walks it by bitset rows that are
+    built from M only for the inputs a walk expands (`_InputRows`), so no
+    operator array is n*n.
     """
 
     def __init__(self, op: ChoiceOperator):
         t = _tables(op.universe)
         self.t = t
         self.out = np.array([o.mask for o in op.outputs], dtype=np.int64)
-        self.uniq, self.inv, counts = np.unique(
-            self.out, return_inverse=True, return_counts=True
-        )
+        self.uniq, self.inv = np.unique(self.out, return_inverse=True)
         self.M = t.meets(self.uniq)
-        self.diag = self.M[np.arange(len(self.out)), self.inv]
-        by_group = np.argsort(self.inv, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        self.ge = np.logical_or.reduceat(self.M[by_group], starts, axis=0)
+        rows = np.arange(len(self.out))
+        self.diag = self.M[rows, self.inv]
+        group = np.zeros((len(self.uniq), len(self.out)), dtype=bool)
+        group[self.inv, rows] = True
+        self.ge = graphs.bool_product(group, self.M)
         kmask = np.int64(op.K.mask)
         self.eq_k = self.out == kmask
         self.meets_k = (((kmask & ~t.member) == 0) & t.valid).any(axis=1)

@@ -130,6 +130,42 @@ def test_malformed_file_reports_location(tmp_path, capsys):
     assert main(["check", "--operator", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loaders_restore_collector_state(enabled, tmp_path, model_file,
+                                         operator_file, relation_file):
+    """Each loader pauses the collector around json.load and leaves it as
+    it found it, after a good file, invalid JSON and a non-object file;
+    the messages name the file."""
+    import gc
+
+    from choicerev import (ModelFormatError, OperatorFormatError, RelationFormatError,
+                           load_model, load_operator, load_relation)
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"atoms": 2, ')
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    loaders = (
+        (load_model, ModelFormatError, model_file),
+        (load_operator, OperatorFormatError, operator_file),
+        (load_relation, RelationFormatError, relation_file),
+    )
+    was = gc.isenabled()
+    try:
+        for load, error, good in loaders:
+            (gc.enable if enabled else gc.disable)()
+            load(good)
+            assert gc.isenabled() is enabled
+            for path, message in ((bad, "invalid JSON at line 1"),
+                                  (listed, "expected a JSON object")):
+                with pytest.raises(error) as info:
+                    load(str(path))
+                assert str(info.value) == f"{path}: {message}"
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_synthesize_pass_and_fail(tmp_path, operator_file, capsys):
     out = tmp_path / "model.json"
     assert main(["synthesize", "--operator", operator_file,

@@ -27,6 +27,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_conjunction import _reference_union_index, _universe
 from test_graphs import _reference_scc, _reference_shortest_path
 
@@ -38,7 +39,9 @@ from choicerev.operators import (
     ChoiceOperator,
     PostulateId,
     PostulateReport,
+    UniverseSpec,
     Witness,
+    _draw_operator,
     _tables,
     check_equivalences,
     check_postulate,
@@ -74,9 +77,9 @@ def _reference_subset(t):
     return out
 
 
-def _reference_draw(seed, u):
-    """K's mask and the output masks, drawn as the seed drew them."""
-    rng = random.Random(seed)
+def _reference_draw(rng, u):
+    """K's mask and the output masks, drawn as the seed drew them: one
+    randrange call per entry."""
     full = u.lang.full_mask
     k = rng.randrange(1, full + 1)
     return k, [rng.randrange(0, full + 1) for _ in _tables(u).sets]
@@ -422,17 +425,82 @@ def test_failing_strong_reciprocity_builds_no_n_by_n_array():
     assert peak < n * n, peak
 
 
-@pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
-def test_random_operator_draw_unchanged_and_shared(n):
-    u = _universe(n)
-    ops = [random_operator(seed, u) for seed in range(3)]
+# every universe UniverseSpec admits at one and two atoms, and three atoms
+# at k <= 1 (k=2 is over the cap), as (atoms, k)
+DRAW_SPECS = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
+              (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)]
+
+
+def _draw_id(spec):
+    """The universe's size; sizes repeat only at k=0, named by atom count."""
+    atoms, k = spec
+    return str(UniverseSpec(LanguageSpec(atoms), k).size) if k else f"{atoms}-atoms-k0"
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=_draw_id)
+def test_random_operator_draw_unchanged_and_shared(spec):
+    u = UniverseSpec(LanguageSpec(spec[0]), spec[1])
+    ops = [random_operator(seed, u) for seed in range(10)]
     for seed, op in enumerate(ops):
-        k, masks = _reference_draw(seed, u)
+        k, masks = _reference_draw(random.Random(seed), u)
         assert op.K.mask == k
         assert [o.mask for o in op.outputs] == masks
     # one pool per universe, shared by every random table on it
     held = {id(o) for op in ops for o in op.outputs + (op.K,)}
     assert len(held) <= u.lang.full_mask + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([(1, 4), (2, 1), (2, 2), (3, 1)]),
+    seed=st.integers(-(2 ** 80), 2 ** 80) | st.sampled_from([-1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64)]),
+)
+def test_random_operator_draw_matches_randrange_for_any_seed(spec, seed):
+    u = UniverseSpec(LanguageSpec(spec[0]), spec[1])
+    op = random_operator(seed, u)
+    assert (op.K.mask, [o.mask for o in op.outputs]) == _reference_draw(random.Random(seed), u)
+
+
+class _TopBitRun(random.Random):
+    """Mersenne Twister words whose first `run` have the top bit set.
+
+    A try on such a word is rejected, so a batched draw needs more than
+    one batch.  getrandbits follows CPython's word model: up to 32 bits
+    take one word shifted right, a multiple of 32 packs whole words
+    little-endian.  `batches` counts the multi-word calls.
+    """
+
+    def __init__(self, seed, run):
+        super().__init__(seed)
+        self.run = run
+        self.batches = 0
+
+    def _word(self):
+        w = super().getrandbits(32)
+        if self.run > 0:
+            self.run -= 1
+            w |= 1 << 31
+        return w
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self._word() >> (32 - k)
+        assert k % 32 == 0, k
+        self.batches += 1
+        return sum(self._word() << (32 * i) for i in range(k // 32))
+
+
+@pytest.mark.parametrize("spec", [(1, 4), (2, 3), (3, 1)], ids=_draw_id)
+def test_random_operator_draw_spans_batches(spec):
+    """A long run of rejected words forces later batches; the draw still
+    matches per-entry randrange on the same generator."""
+    u = UniverseSpec(LanguageSpec(spec[0]), spec[1])
+    for seed in range(3):
+        rng = _TopBitRun(seed, run=10 * u.size + 100)
+        op = _draw_operator(rng, u)
+        assert rng.batches >= 2
+        want = _reference_draw(_TopBitRun(seed, run=10 * u.size + 100), u)
+        assert (op.K.mask, [o.mask for o in op.outputs]) == want
 
 
 def _reference_reciprocity(op):

@@ -11,6 +11,16 @@ member by member and looks it up by its sorted member masks, skipping
 those outside the universe.  Each reference returns the checker's
 report: verdict, checked, skipped, and the first witness in scan order,
 with the smallest middle element for transitivity.
+
+Minimality, maximality, completeness and determination have set-level
+references too, each a loop over the table's rows as lists.  Minimality:
+the singletons that stand in the relation to every set are the classes
+some consistent theory K entails, searched over every K; then a set
+stands in the relation to every set exactly when it shares a class with
+K.  Maximality: no nonempty set but the contradiction's singleton has
+every nonempty set standing in the relation to it.  Completeness: every
+two sets compare one way or the other.  Determination: every nonempty
+set stands in the relation to the empty set, and not back.
 """
 
 import functools
@@ -50,6 +60,10 @@ from choicerev.synthesis import verify_roundtrip_relation, verify_translation
 TR = RelationPostulateId.TRANSITIVITY
 CP = RelationPostulateId.COUPLING
 WC = RelationPostulateId.WEAK_COUPLING
+MN = RelationPostulateId.MINIMALITY
+MX = RelationPostulateId.MAXIMALITY
+CM = RelationPostulateId.COMPLETENESS
+DT = RelationPostulateId.DETERMINATION
 
 CHAIN = "chain holds but the endpoints do not compare"
 
@@ -305,6 +319,160 @@ def test_multi_checkers_match_references_at_697():
             assert got.to_dict() == reference(r, u).to_dict(), p.value
             verdicts.append(got.holds)
     assert verdicts[0] and not verdicts[2]
+
+
+def reference_multi_minimality(rel, u):
+    """c + n instances: one per class, one per set.  The witness is empty
+    when the singletons fix no consistent closed theory, else the first
+    set whose standing disagrees with sharing a class with it."""
+    t = _tables(u)
+    sets = t.sets
+    c = u.lang.full_mask + 1
+    n = len(sets)
+    to_all = [all(row) for row in rel.table_over(u).tolist()]
+    theory = {x for x in range(c) if to_all[t.index[(x,)]]}
+    # the classes K entails are those holding in every model of K
+    if not any(theory == {x for x in range(c) if k & ~x == 0} for k in range(1, c)):
+        w = RelationWitness(
+            (), "universally acceptable singletons do not determine a consistent closed theory"
+        )
+        return RelationReport(MN, "multi", False, c + n, 0, w)
+    for s, stands in zip(sets, to_all):
+        if stands != any(x in theory for x in s.mask_tuple):
+            w = RelationWitness(
+                (s,),
+                "set ranks below everything exactly when it shares a class with the prior theory; this one does not",
+            )
+            return RelationReport(MN, "multi", False, c + n, 0, w)
+    return RelationReport(MN, "multi", True, c + n)
+
+
+def reference_multi_maximality(rel, u):
+    sets = _tables(u).sets
+    ge = rel.table_over(u).tolist()
+    nonempty = [a for a, s in enumerate(sets) if s.mask_tuple]
+    for b in nonempty:
+        if sets[b].mask_tuple != (0,) and all(ge[a][b] for a in nonempty):
+            w = RelationWitness(
+                (sets[b],), "a set other than the contradiction singleton sits at the very top"
+            )
+            return RelationReport(MX, "multi", False, len(sets), 0, w)
+    return RelationReport(MX, "multi", True, len(sets))
+
+
+def reference_multi_completeness(rel, u):
+    sets = _tables(u).sets
+    ge = rel.table_over(u).tolist()
+    for a, row in enumerate(ge):
+        for b, holds in enumerate(row):
+            if not holds and not ge[b][a]:
+                w = RelationWitness((sets[a], sets[b]), "incomparable pair")
+                return RelationReport(CM, "multi", False, len(sets) ** 2, 0, w)
+    return RelationReport(CM, "multi", True, len(sets) ** 2)
+
+
+def reference_multi_determination(rel, u):
+    sets = _tables(u).sets
+    ge = rel.table_over(u).tolist()
+    e = next(i for i, s in enumerate(sets) if not s.mask_tuple)
+    for a, s in enumerate(sets):
+        if s.mask_tuple and not (ge[a][e] and not ge[e][a]):
+            w = RelationWitness(
+                (s,), "nonempty set not strictly easier to accept than the empty set"
+            )
+            return RelationReport(DT, "multi", False, len(sets), 0, w)
+    return RelationReport(DT, "multi", True, len(sets))
+
+
+SET_REFERENCES = {
+    MN: reference_multi_minimality,
+    MX: reference_multi_maximality,
+    CM: reference_multi_completeness,
+    DT: reference_multi_determination,
+}
+
+
+def _set_breaking_cells(m, u, p):
+    """Cells whose flip breaks p on a table where p holds: a cell of a row
+    that stands to every set, or the one missing cell of a row (minimality);
+    the one missing cell of a column over the nonempty rows, at a nonempty
+    set but the contradiction's singleton (maximality); a one-way or
+    reflexive comparison (completeness); a nonempty set's comparison with
+    the empty set, either way (determination)."""
+    t = _tables(u)
+    n = len(t.sets)
+    nonempty = t.sizes > 0
+    if p == MN:
+        cells = m.all(axis=1)[:, None] | (((~m).sum(axis=1) == 1)[:, None] & ~m)
+    elif p == MX:
+        miss = ~m & nonempty[:, None]
+        top = nonempty & (miss.sum(axis=0) == 1) & (np.arange(n) != t.index.get((0,), -1))
+        cells = miss & top[None, :]
+    elif p == CM:
+        cells = (m & ~m.T) | (np.eye(n, dtype=bool) & m)
+    else:
+        e = t.empty_index
+        cells = np.zeros((n, n), dtype=bool)
+        cells[:, e] = nonempty & m[:, e]
+        cells[e, :] = nonempty & ~m[e, :]
+    return [(int(a), int(b)) for a, b in np.argwhere(cells)]
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_multi_set_checkers_match_references(n):
+    u, rels = _multi_cases(n)
+    verdicts = {p: set() for p in SET_REFERENCES}
+    for rel in rels:
+        for p, reference in SET_REFERENCES.items():
+            got = _check_multi(rel, p, u)
+            assert got.to_dict() == reference(rel, u).to_dict(), p.value
+            verdicts[p].add(got.holds)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_multi_set_holds_breaks_under_flip(n):
+    """Each passing minimality, maximality, completeness or determination
+    verdict turns false under a one-entry flip the reference says breaks
+    it; every candidate cell breaks, so one is found whenever there is one."""
+    u, rels = _multi_cases(n)
+    broken = {p: 0 for p in SET_REFERENCES}
+    for i, rel in enumerate(rels):
+        m = rel.table_over(u)
+        flip = functools.partial(_flip_multi, rel, u)
+        for p, reference in SET_REFERENCES.items():
+            if not _check_multi(rel, p, u).holds:
+                continue
+            cells = _set_breaking_cells(m, u, p)
+            found = _breaking_flip(cells, flip, lambda r: reference(r, u), seed=i)
+            assert (found is not None) == bool(cells), (p.value, i)
+            if found:
+                flipped, want = found
+                assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
+                broken[p] += 1
+    assert min(broken.values()) >= 3, broken
+
+
+def test_multi_set_checkers_match_references_at_697():
+    """A derived relation, and for each postulate that holds on it a
+    one-entry flip that breaks it."""
+    u = _universe(697)
+    model = _models(u.lang, 1, seed=697)[0]
+    rel = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
+    m = rel.table_over(u)
+    verdicts = {}
+    for p, reference in SET_REFERENCES.items():
+        got = _check_multi(rel, p, u)
+        assert got.to_dict() == reference(rel, u).to_dict(), p.value
+        verdicts[p] = got.holds
+        if not got.holds:
+            continue
+        flip = functools.partial(_flip_multi, rel, u)
+        found = _breaking_flip(_set_breaking_cells(m, u, p), flip, lambda r: reference(r, u), 697, tries=3)
+        assert found is not None, p.value
+        flipped, want = found
+        assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
+    assert verdicts == {MN: True, MX: False, CM: True, DT: True}
 
 
 # Every relation postulate report on the corpus below, and every round-trip
