@@ -60,7 +60,6 @@ from .operators import (
     load_operator,
     random_operator,
     save_operator,
-    syntax_probe,
 )
 from .believability import (
     BelievabilityRelation,
@@ -75,7 +74,6 @@ from .believability import (
     is_standard,
     lift,
     load_relation,
-    package_relation,
     project,
     random_quasi_linear,
     representation_element,

@@ -3,20 +3,20 @@
 A single-sentence relation ranks sentence classes by how willing the
 agent is to accept them; the set-level relation compares finite input
 sets ("it is at least as easy to accept some member of A as some member
-of B").  Three interchangeable backings answer set-level queries: an
-explicit table over a bounded universe, a pointwise lift of a
-single-sentence relation, and a derivation from a choice operator's
-outcome table.  Postulate suites for both levels, the lift/projection
-translations, relation-driven revision, and the metatheorem checkers
-used by the test battery all live here.
+of B").  A set-level relation takes one of two forms: a table over a
+bounded universe (from_table, which also holds the ordering derived
+from a choice operator's outcome table and every relation read from a
+file), or the best-member lift of a single-sentence relation.
+Postulate suites for both levels, the lift/projection translations,
+relation-driven revision, and the metatheorem checkers used by the test
+battery all live here.
 
 The translations and the artifact writer are table operations: a single
 relation's rows unpack to a c*c bool matrix, the lift's table over a
 universe is two slot gathers from it, a projection reads the singleton
 rows and columns of a set-level table, and an artifact walks a table's
 rows against encodings kept once per language or universe as shared
-tuples.  On a table or a lift, none of them makes a point query per
-pair.
+tuples.  None of them makes a point query per pair.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .logic import (
     LanguageError,
     LanguageSpec,
     SentenceClass,
-    conj_all,
     pairwise_conj,
 )
 from .models import GenerationError, _load_json
@@ -206,28 +205,36 @@ class BelievabilityRelation:
 # ---------------------------------------------------------------------------
 
 class MultiBelievabilityRelation:
-    """Set-level comparison with memoized point queries."""
+    """Set-level comparison, in one of two forms.
+
+    A table relation (from_table) holds one n*n bool table over its
+    universe and answers for that universe only.  A lift (lift) has no
+    universe: holds applies the best-member rule to its single-sentence
+    base, so it answers inputs of any size, and table_over builds the
+    lift's table over any universe when first asked (_lift_table).
+    """
 
     def __init__(
         self,
         lang: LanguageSpec,
-        fn: Callable[[InputSet, InputSet], bool],
-        universe: Optional[UniverseSpec] = None,
+        universe: Optional[UniverseSpec],
+        base: Optional[BelievabilityRelation],
+        tables: dict[UniverseSpec, np.ndarray],
     ):
         self.lang = lang
         self.universe = universe
-        self._fn = fn
-        self._memo: dict[tuple, bool] = {}
-        self._table_cache: dict[UniverseSpec, np.ndarray] = {}
+        self._base = base
+        self._table_cache = tables
         self._rows: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._base: Optional[BelievabilityRelation] = None
 
     def holds(self, a: InputSet, b: InputSet) -> bool:
-        key = (a.mask_tuple, b.mask_tuple)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = bool(self._fn(a, b))
-        return got
+        if self._base is None:
+            t = _tables(self.universe)
+            return bool(self._table_cache[self.universe][t.lookup(a), t.lookup(b)])
+        if len(b) == 0:
+            return True
+        base = self._base
+        return any(all(base.holds(x, y) for y in b.classes) for x in a.classes)
 
     def strictly(self, a: InputSet, b: InputSet) -> bool:
         return self.holds(a, b) and not self.holds(b, a)
@@ -238,7 +245,11 @@ class MultiBelievabilityRelation:
     def table_over(self, u: UniverseSpec) -> np.ndarray:
         got = self._table_cache.get(u)
         if got is None:
-            got = self._table_cache[u] = self._materialize(u)
+            if self._base is None:
+                raise ValueError(
+                    f"a relation tabled over {self.universe} has no table over {u}"
+                )
+            got = self._table_cache[u] = _lift_table(self._base, u)
         return got
 
     def _revision_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,37 +279,12 @@ class MultiBelievabilityRelation:
             self._rows = (m[:, e] & ~m[e, :], mask, closed)
         return self._rows
 
-    def _materialize(self, u: UniverseSpec) -> np.ndarray:
-        if self._base is not None:
-            return _lift_table(self._base, u)
-        sets = _tables(u).sets
-        n = len(sets)
-        out = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                out[i, j] = self.holds(a, b)
-        return out
-
     @classmethod
     def from_table(cls, u: UniverseSpec, matrix: np.ndarray) -> "MultiBelievabilityRelation":
-        t = _tables(u)
-        n = len(t.sets)
+        n = u.size
         if matrix.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        m = matrix.astype(bool)
-
-        def fn(a: InputSet, b: InputSet) -> bool:
-            ia = t.index.get(a.mask_tuple)
-            ib = t.index.get(b.mask_tuple)
-            if ia is None:
-                raise OutsideUniverseError(a)
-            if ib is None:
-                raise OutsideUniverseError(b)
-            return bool(m[ia, ib])
-
-        rel = cls(u.lang, fn, universe=u)
-        rel._table_cache[u] = m
-        return rel
+        return cls(u.lang, u, None, {u: matrix.astype(bool)})
 
 
 def _lift_table(base: BelievabilityRelation, u: UniverseSpec) -> np.ndarray:
@@ -335,41 +321,26 @@ def lift(base: BelievabilityRelation) -> MultiBelievabilityRelation:
     is at least as acceptable as every member of B.  Answers queries of
     any size; in particular the empty set sits above nonempty sets only.
     """
-
-    def fn(a: InputSet, b: InputSet) -> bool:
-        if len(b) == 0:
-            return True
-        return any(
-            all(base.holds(x, y) for y in b.classes) for x in a.classes
-        )
-
-    rel = MultiBelievabilityRelation(base.lang, fn, universe=None)
-    rel._base = base
-    return rel
+    return MultiBelievabilityRelation(base.lang, None, base, {})
 
 
 def project(mb: MultiBelievabilityRelation) -> BelievabilityRelation:
     """Restriction to singleton comparisons.
 
     Reads the c*c singleton rows and columns of the relation's own table
-    over its universe, or over the max_input_size 1 universe when it has
-    none (a lift or a bare fn), in one c*c gather: 0.02-0.03 ms on a
-    table at n=137, and 0.07 ms for a two-atom lift, whose n=17 table is
-    built first.  These are the relation's own set-level answers; a lift
-    is not short-cut to its base, so project(lift(r)) == r is a check of
-    the lift's table.  A universe without singletons raises
-    OutsideUniverseError, as a point query on {class 0} would.
+    over its universe, or over the max_input_size 1 universe for a lift,
+    in one c*c gather: 0.02-0.03 ms on a table at n=137, and 0.07 ms for
+    a two-atom lift, whose n=17 table is built first.  These are the
+    relation's own set-level answers; a lift is not short-cut to its
+    base, so project(lift(r)) == r is a check of the lift's table.  A
+    universe without singletons raises OutsideUniverseError, as a point
+    query on {class 0} would.
     """
     u = mb.universe or UniverseSpec(mb.lang, 1)
     sing = _tables(u).singleton_index
     if sing[0] < 0:
         raise OutsideUniverseError(InputSet.of(u.lang, SentenceClass(u.lang, 0)))
     return BelievabilityRelation.from_matrix(u.lang, mb.table_over(u)[np.ix_(sing, sing)])
-
-
-def package_relation(base: BelievabilityRelation, a: InputSet, b: InputSet) -> bool:
-    """Whole-package comparison: reduce each set to its conjunction."""
-    return base.holds(conj_all(a), conj_all(b))
 
 
 def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
@@ -422,13 +393,12 @@ def revise_via_mb(
     A relation with a universe answers from one row of its revision
     table (MultiBelievabilityRelation._revision_rows), computed for every
     input on the first call and kept on the relation; an input outside
-    the universe raises OutsideUniverseError.  An unbounded relation (a
-    lift) builds each adjunction member by member.
+    the universe, or over another language, raises OutsideUniverseError.
+    A lift, which has no universe, builds each adjunction member by
+    member.
     """
     if mb.universe is not None:
-        i = _tables(mb.universe).index.get(a.mask_tuple)
-        if i is None:
-            raise OutsideUniverseError(a)
+        i = _tables(mb.universe).lookup(a)
         strict, mask, closed = mb._revision_rows()
         if not strict[i]:
             return k

@@ -46,12 +46,12 @@ from .models import (
     ModelFlags,
     ModelFormatError,
     ModelInvalidError,
+    choice_revise_via_model,
     generate_model,
     load_model,
     save_model,
 )
 from .operators import (
-    ChoiceOperator,
     OperatorFormatError,
     OutsideUniverseError,
     PostulateId,
@@ -157,8 +157,6 @@ def _cmd_revise(args) -> int:
     model = load_model(args.model)
     lang = model.lang
     a = parse_input_set(args.input, lang)
-    from .models import choice_revise_via_model
-
     out = choice_revise_via_model(model, a)
     formula = formula_for_class(SentenceClass(lang, out.mask))
     payload = {
@@ -212,18 +210,14 @@ def _cmd_check(args) -> int:
         _emit(args, payload, lines)
         return 0 if payload["all_hold"] else 1
     rel = load_relation(args.relation)
+    ids = list(RelationPostulateId)
     if isinstance(rel, BelievabilityRelation):
-        ids = [p for p in RelationPostulateId if p not in _MULTI_ONLY]
-        wanted = _postulate_selection(args.postulates, ids)
-        u = None
-        atoms = rel.lang.atom_count
-    else:
-        wanted = _postulate_selection(args.postulates, RelationPostulateId)
-        u = rel.universe or UniverseSpec(rel.lang, args.max_input_size)
-        atoms = rel.lang.atom_count
-    reports = [check_relation_postulate(rel, p, u) for p in wanted]
+        ids = [p for p in ids if p not in _MULTI_ONLY]
+    # a set-level relation read from a file is checked over its own universe
+    reports = [check_relation_postulate(rel, p)
+               for p in _postulate_selection(args.postulates, ids)]
     payload = {
-        "header": _header(args, atoms=atoms),
+        "header": _header(args, atoms=rel.lang.atom_count),
         "reports": [r.to_dict() for r in reports],
         "all_hold": all(r.holds for r in reports),
     }

@@ -28,22 +28,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import graphs
-from .logic import (
-    And,
-    Atom,
-    BeliefSet,
-    Bottom,
-    Formula,
-    Implies,
-    InputSet,
-    LanguageError,
-    LanguageSpec,
-    Not,
-    Or,
-    SentenceClass,
-    Top,
-    format_formula,
-)
+from .logic import BeliefSet, InputSet, LanguageError, LanguageSpec, SentenceClass
 from .models import RelationalModel, _load_json
 
 UNIVERSE_CAP = 2000
@@ -123,6 +108,14 @@ class _Tables:
         # this universe: a caller that keeps the reports of many tables
         # keeps each of those once (at most 12 and 81 of them)
         self.shared_reports: dict = {}
+
+    def lookup(self, a: InputSet) -> int:
+        """Universe index of a; OutsideUniverseError when a is over
+        another language or larger than the size cap."""
+        i = self.index.get(a.mask_tuple) if a.lang == self.u.lang else None
+        if i is None:
+            raise OutsideUniverseError(a)
+        return i
 
     def meets(self, masks: np.ndarray) -> np.ndarray:
         """hit[a, j]: some member of A_a follows from the belief set whose
@@ -350,10 +343,7 @@ class ChoiceOperator:
         return self.universe.lang
 
     def outcome(self, a: InputSet) -> BeliefSet:
-        i = _tables(self.universe).index.get(a.mask_tuple)
-        if i is None:
-            raise OutsideUniverseError(a)
-        return self.outputs[i]
+        return self.outputs[_tables(self.universe).lookup(a)]
 
     @property
     def table(self) -> dict[InputSet, BeliefSet]:
@@ -734,7 +724,7 @@ def _check_consistency(op: ChoiceOperator) -> PostulateReport:
 
 def _check_syntax_irrelevance(op: ChoiceOperator) -> PostulateReport:
     # inputs are sentence classes: equivalent sets are the same set, so the
-    # table cannot distinguish them; see syntax_probe for AST-level sampling
+    # table cannot distinguish them
     return PostulateReport(PostulateId.SYNTAX_IRRELEVANCE, True, len(op.outputs))
 
 
@@ -1024,111 +1014,3 @@ def check_equivalences(op: ChoiceOperator) -> EquivalenceReport:
     )
     report = EquivalenceReport(tuple(items))
     return _tables(op.universe).shared_reports.setdefault(report, report)
-
-
-# ---------------------------------------------------------------------------
-# AST-level syntax probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeDifference:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    left_outcome: list[str]
-    right_outcome: list[str]
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    samples: int
-    differences: tuple[ProbeDifference, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.differences
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "differences": [d.__dict__ for d in self.differences],
-        }
-
-
-def lift_operator_to_syntax(op: ChoiceOperator) -> Callable[[frozenset], BeliefSet]:
-    """Adapter evaluating formula sets through their sentence classes."""
-
-    def run(formulas: frozenset) -> BeliefSet:
-        a = InputSet.of(op.lang, *formulas)
-        return op.outcome(a)
-
-    return run
-
-
-def _random_formula(rng: random.Random, lang: LanguageSpec, depth: int) -> Formula:
-    if depth == 0 or rng.random() < 0.3:
-        roll = rng.random()
-        if roll < 0.8:
-            return Atom(rng.randrange(lang.atom_count))
-        return Top() if roll < 0.9 else Bottom()
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Not(_random_formula(rng, lang, depth - 1))
-    left = _random_formula(rng, lang, depth - 1)
-    right = _random_formula(rng, lang, depth - 1)
-    return [And, Or, Implies][kind - 1](left, right)
-
-
-def _equivalent_variant(rng: random.Random, f: Formula) -> Formula:
-    """AST-distinct formula with the same truth table."""
-    roll = rng.randrange(3)
-    if roll == 0:
-        return Not(Not(f))
-    if roll == 1:
-        return And(f, Top())
-
-    def commute(node: Formula) -> Formula:
-        if isinstance(node, And):
-            return And(commute(node.right), commute(node.left))
-        if isinstance(node, Not):
-            return Not(commute(node.child))
-        if isinstance(node, Or):
-            return Or(commute(node.right), commute(node.left))
-        return node
-
-    swapped = commute(f)
-    return swapped if swapped != f else Not(Not(f))
-
-
-def syntax_probe(
-    op_syntactic: Callable[[frozenset], BeliefSet],
-    samples: int,
-    lang: Optional[LanguageSpec] = None,
-    seed: int = 0,
-    max_input_size: int = 2,
-) -> ProbeReport:
-    """Sample AST-distinct but logically identical input sets and compare.
-
-    A syntax-sensitive adapter shows up as a nonempty difference list.
-    """
-    if lang is None:
-        lang = LanguageSpec(2)
-    rng = random.Random(seed)
-    differences = []
-    for _ in range(samples):
-        size = rng.randrange(1, max_input_size + 1)
-        left = frozenset(_random_formula(rng, lang, 2) for _ in range(size))
-        right = frozenset(_equivalent_variant(rng, f) for f in left)
-        if left == right:
-            right = frozenset(Not(Not(f)) for f in left)
-        out_l = op_syntactic(left)
-        out_r = op_syntactic(right)
-        if out_l != out_r:
-            differences.append(
-                ProbeDifference(
-                    tuple(sorted(format_formula(f) for f in left)),
-                    tuple(sorted(format_formula(f) for f in right)),
-                    out_l.encode(),
-                    out_r.encode(),
-                )
-            )
-    return ProbeReport(samples, tuple(differences))

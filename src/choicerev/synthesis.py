@@ -34,6 +34,7 @@ from .believability import (
     is_quasi_linear,
     lift,
     project,
+    relation_to_json,
 )
 from .logic import (
     BeliefSet,
@@ -41,7 +42,7 @@ from .logic import (
     LanguageSpec,
     SentenceClass,
 )
-from .models import RelationalModel
+from .models import RelationalModel, check_extended_conditions
 from .operators import (
     BASIC_POSTULATES,
     SUPPLEMENTARY_POSTULATES,
@@ -203,8 +204,6 @@ def verify_roundtrip_model(
             universe=header,
         )
     if require_extended:
-        from .models import check_extended_conditions
-
         flags = check_extended_conditions(model)
         if not (flags.has_X3 and flags.has_leq3):
             return RoundTripReport(
@@ -311,8 +310,6 @@ def verify_roundtrip_relation(op: ChoiceOperator, standard: bool = False) -> Rou
                 universe=header,
             )
     mb = derive_mb_from_operator(op)
-    from .believability import relation_to_json
-
     artifact = relation_to_json(mb)
     wanted = tuple(RelationPostulateId) if standard else _CORE_RELATION_SET
     for p in wanted:
@@ -410,7 +407,6 @@ def verify_translation(
                 witness={"kind": "mismatch"},
                 universe=header,
             )
-        from .believability import relation_to_json
 
         return RoundTripReport(
             3,
@@ -461,7 +457,6 @@ def verify_translation(
             },
             universe=header,
         )
-    from .believability import relation_to_json
 
     return RoundTripReport(
         3,

@@ -28,7 +28,6 @@ from choicerev.believability import (
     is_standard,
     lift,
     load_relation,
-    package_relation,
     project,
     random_quasi_linear,
     representation_element,
@@ -39,6 +38,7 @@ from choicerev.logic import (
     BeliefSet,
     InputSet,
     LanguageError,
+    LanguageSpec,
     SentenceClass,
     class_of,
     conj_all,
@@ -53,6 +53,7 @@ from choicerev.operators import (
     UniverseSpec,
     enumerate_universe,
     passes,
+    random_operator,
 )
 
 
@@ -64,12 +65,18 @@ def single_set(lang, mask):
     return InputSet.of(lang, SentenceClass(lang, mask))
 
 
+def table_of(u, fn):
+    """The table relation over u whose cell (a, b) is fn(a, b)."""
+    sets = enumerate_universe(u)
+    return MultiBelievabilityRelation.from_table(
+        u, np.array([[fn(a, b) for b in sets] for a in sets], dtype=bool)
+    )
+
+
 # strict order at one atom: tautology, then p0, then its negation, then
 # the contradiction (masks 3, 2, 1, 0)
 @pytest.fixture(scope="module")
 def strict_order():
-    from choicerev.logic import LanguageSpec
-
     lang = LanguageSpec(1)
     return BelievabilityRelation.from_layers(lang, [[3], [2], [1], [0]])
 
@@ -227,24 +234,14 @@ def test_package_vs_lift_disagree(strict_order, lang1):
     taut = parse_input_set("T", lang1)
     # whole-package reading collapses the inconsistent pair to the
     # contradiction; best-member reading keeps it at p0's level
-    assert not package_relation(strict_order, both, neg)
+    assert not strict_order.holds(conj_all(both), conj_all(neg))
     assert lift(strict_order).holds(both, neg)
     # empty set packages as the tautology
-    assert package_relation(strict_order, InputSet.empty(lang1), taut)
-
-
-def test_package_relation_matches_conjunction_oracle(strict_order, lang1, u1):
-    sets = enumerate_universe(u1)
-    for a in sets:
-        for b in sets:
-            expected = strict_order.holds(conj_all(a), conj_all(b))
-            assert package_relation(strict_order, a, b) == expected
+    assert strict_order.holds(conj_all(InputSet.empty(lang1)), conj_all(taut))
 
 
 @pytest.fixture(scope="module")
 def induced_op2():
-    from choicerev.logic import LanguageSpec
-
     lang = LanguageSpec(2)
     m = generate_model(21, lang, 7, ModelFlags(has_X3=True, has_leq3=True))
     return ChoiceOperator.from_model(m, max_input_size=2)
@@ -277,23 +274,6 @@ def test_revise_via_mb_worked_example(strict_order, lang1):
     assert both == BeliefSet.decode(["1"], lang1)
 
 
-def test_revise_via_mb_not_closed_error(lang1):
-    a = parse_input_set("p0, ~p0", lang1)
-    table = {
-        (a.mask_tuple, ()): True,
-        (a.mask_tuple, a.mask_tuple): True,
-        (a.mask_tuple, (0,)): True,
-        ((0,), a.mask_tuple): True,
-    }
-
-    def fn(x, y):
-        return table.get((x.mask_tuple, y.mask_tuple), False)
-
-    mb = MultiBelievabilityRelation(lang1, fn)
-    with pytest.raises(RelationOperationError, match="not closed"):
-        revise_via_mb(mb, BeliefSet.trivial(lang1), a)
-
-
 def test_representation_element(strict_order, lang1):
     mb = lift(strict_order)
     p0 = class_of("p0", lang1)
@@ -304,31 +284,28 @@ def test_representation_element(strict_order, lang1):
         representation_element(mb, InputSet.empty(lang1))
 
 
-# rank-based relation: sets containing the tautology (or both literals)
-# rank highest; otherwise the best member decides.  Satisfies the first
-# three set-level postulates yet set comparisons do not reduce to
-# members: {p0, ~p0} outranks {T} while neither literal alone does.
+# rank-based relation at one atom: sets containing the tautology (or both
+# literals) rank highest; otherwise the best member decides.  Satisfies
+# the first three set-level postulates yet set comparisons do not reduce
+# to members: {p0, ~p0} outranks {T} while neither literal alone does.
+def _rank(a):
+    masks = set(a.mask_tuple)
+    if 3 in masks or {1, 2} <= masks:
+        return 0
+    return min({3: 0, 2: 1, 1: 1, 0: 2}[m] for m in masks)
+
+
+def rank_trap_holds(a, b):
+    if len(b) == 0:
+        return True
+    if len(a) == 0:
+        return False
+    return _rank(a) <= _rank(b)
+
+
 @pytest.fixture(scope="module")
-def rank_trap():
-    from choicerev.logic import LanguageSpec
-
-    lang = LanguageSpec(1)
-    rank = {3: 0, 2: 1, 1: 1, 0: 2}
-
-    def f(a):
-        masks = set(a.mask_tuple)
-        if 3 in masks or {1, 2} <= masks:
-            return 0
-        return min(rank[m] for m in masks)
-
-    def fn(a, b):
-        if len(b) == 0:
-            return True
-        if len(a) == 0:
-            return False
-        return f(a) <= f(b)
-
-    return MultiBelievabilityRelation(lang, fn)
+def rank_trap(u1):
+    return table_of(u1, rank_trap_holds)
 
 
 def test_rank_trap_antecedents(rank_trap, u1):
@@ -444,26 +421,48 @@ def test_relation_json_errors(tmp_path, strict_order):
 
 
 def test_project_of_fn_built_relations(rank_trap, lang1, u1):
-    """project reads a fn-built relation's own answers: unbounded, over
-    the singleton universe; bounded, over its universe, which must hold
-    the singletons."""
+    """project reads a table relation's own answers over its universe,
+    which must hold the singletons."""
     one = [single_set(lang1, x) for x in range(4)]
 
     def singleton_queries(mb):
         m = np.array([[mb.holds(a, b) for b in one] for a in one])
         return BelievabilityRelation.from_matrix(lang1, m)
 
-    bounded = MultiBelievabilityRelation(lang1, rank_trap.holds, u1)
-    for mb in (rank_trap, bounded):
+    singletons = table_of(UniverseSpec(lang1, 1), rank_trap_holds)
+    for mb in (rank_trap, singletons):
         got = project(mb)
         assert got == singleton_queries(mb)
         # {p0} and {~p0} tie, both below {T} and above {F}
         assert got.rows == (0b0001, 0b0111, 0b0111, 0b1111)
-    no_singletons = MultiBelievabilityRelation(lang1, rank_trap.holds, UniverseSpec(lang1, 0))
+    no_singletons = table_of(UniverseSpec(lang1, 0), rank_trap_holds)
     with pytest.raises(OutsideUniverseError):
         project(no_singletons)
 
 
-def test_check_multi_needs_universe(rank_trap):
+def test_check_multi_needs_universe(strict_order):
     with pytest.raises(ValueError, match="universe"):
-        check_relation_postulate(rank_trap, RelationPostulateId.TRANSITIVITY)
+        check_relation_postulate(lift(strict_order), RelationPostulateId.TRANSITIVITY)
+
+
+@pytest.mark.parametrize("call", [
+    lambda op, rel, a: op.outcome(a),
+    lambda op, rel, a: rel.holds(a, InputSet.empty(rel.lang)),
+    lambda op, rel, a: rel.holds(InputSet.empty(rel.lang), a),
+    lambda op, rel, a: revise_via_mb(rel, op.K, a),
+], ids=["outcome", "holds-left", "holds-right", "revise_via_mb"])
+def test_other_language_input_is_outside_the_universe(call):
+    """The 1-atom input p0 has mask tuple (2,), which names the 2-atom
+    set {p0 & ~p1} of the operator's universe."""
+    op = random_operator(0, UniverseSpec(LanguageSpec(2), 2))
+    with pytest.raises(OutsideUniverseError):
+        call(op, derive_mb_from_operator(op), parse_input_set("p0", LanguageSpec(1)))
+
+
+def test_table_over_answers_for_its_own_universe_only(u2):
+    rel = derive_mb_from_operator(random_operator(0, u2))
+    assert rel.table_over(u2).shape == (137, 137)
+    for other in (UniverseSpec(LanguageSpec(1), 2), UniverseSpec(u2.lang, 1)):
+        with pytest.raises(ValueError) as info:
+            rel.table_over(other)
+        assert str(u2) in str(info.value) and str(other) in str(info.value)

@@ -133,9 +133,9 @@ def test_malformed_file_reports_location(tmp_path, capsys):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_loaders_restore_collector_state(enabled, tmp_path, model_file,
                                          operator_file, relation_file):
-    """Each loader pauses the collector around json.load and leaves it as
-    it found it, after a good file, invalid JSON and a non-object file;
-    the messages name the file."""
+    """Each loader pauses the collector while it reads and parses, and
+    leaves it as it found it, after a good file, invalid JSON and a
+    non-object file; the messages name the file."""
     import gc
 
     from choicerev import (ModelFormatError, OperatorFormatError, RelationFormatError,

@@ -1,6 +1,7 @@
 """Ordered-outcome models: validation, revision, generation, JSON."""
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from choicerev.models import (
     ModelFormatError,
     ModelInvalidError,
     RelationalModel,
+    _load_json,
     check_extended_conditions,
     choice_revise_via_model,
     descriptor_revise,
@@ -223,3 +225,39 @@ def test_model_json_errors(tmp_path, lang2):
     # validation can be bypassed explicitly
     m = load_model(str(bad), validate=False)
     assert len(m.outcomes) == 2
+
+
+class _ParseError(ValueError):
+    pass
+
+
+def _parse(data):
+    if data["a"] == 2:
+        raise _ParseError("bad a")
+    return data["a"], gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_json_parses_with_collector_paused(enabled, tmp_path):
+    """parse runs with the collector off, which is left as it was found
+    after a good file and after every error: a parse error, another
+    exception from parse, invalid JSON, a non-object and a missing file."""
+    cases = (('{"a": 1}', None, None), ('{"a": 2}', _ParseError, "bad a"),
+             ('{"b": 3}', KeyError, "'a'"), ('{"a": ', _ParseError, "invalid JSON"),
+             ("[1]", _ParseError, "JSON object"), (None, FileNotFoundError, "data.json"))
+    path = tmp_path / "data.json"
+    was = gc.isenabled()
+    try:
+        for text, error, message in cases:
+            (gc.enable if enabled else gc.disable)()
+            path.unlink(missing_ok=True)
+            if text is not None:
+                path.write_text(text)
+            if error is None:
+                assert _load_json(str(path), _ParseError, _parse) == (1, False)
+            else:
+                with pytest.raises(error, match=message):
+                    _load_json(str(path), _ParseError, _parse)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -1,6 +1,7 @@
 """Operator tables, the postulate battery, witnesses, probes, JSON."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,10 +9,17 @@ from test_graphs import _simple_cycles_bounded
 from test_kernel import _reference_meets, _reference_strong_reciprocity
 
 from choicerev.logic import (
+    And,
+    Atom,
     BeliefSet,
+    Bottom,
+    Implies,
     InputSet,
     LanguageError,
     LanguageSpec,
+    Not,
+    Or,
+    Top,
     enumerate_belief_sets,
     format_formula,
     parse_input_set,
@@ -30,12 +38,10 @@ from choicerev.operators import (
     check_postulate,
     check_postulates,
     enumerate_universe,
-    lift_operator_to_syntax,
     load_operator,
     passes,
     random_operator,
     save_operator,
-    syntax_probe,
     theory_meets,
     witness_violates,
 )
@@ -241,11 +247,47 @@ def test_equivalences_inapplicable(u1, lang1):
     pytest.fail("no regularity-violating random operator found")
 
 
+def _random_formula(rng, lang, depth):
+    if depth == 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.8:
+            return Atom(rng.randrange(lang.atom_count))
+        return Top() if roll < 0.9 else Bottom()
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(_random_formula(rng, lang, depth - 1))
+    left = _random_formula(rng, lang, depth - 1)
+    right = _random_formula(rng, lang, depth - 1)
+    return [And, Or, Implies][kind - 1](left, right)
+
+
+def syntax_differences(adapter, samples, lang, seed, max_input_size=2):
+    """Pairs of AST-distinct but logically identical formula sets on which
+    adapter (formula set -> belief set) answers differently, each as the
+    two sets' sorted formula texts.  A variant wraps its formula, so it
+    is deeper, and the deepest formula's variant is never in the set."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        size = rng.randrange(1, max_input_size + 1)
+        left = frozenset(_random_formula(rng, lang, 2) for _ in range(size))
+        right = frozenset(rng.choice([Not(Not(f)), And(f, Top()), Or(Bottom(), f)])
+                          for f in left)
+        if adapter(left) != adapter(right):
+            out.append(tuple(tuple(sorted(map(format_formula, s))) for s in (left, right)))
+    return out
+
+
 def test_syntax_probe_clean(induced_op):
-    adapter = lift_operator_to_syntax(induced_op)
-    report = syntax_probe(adapter, 60, induced_op.lang, seed=1)
-    assert report.clean
-    assert report.samples == 60
+    lang = induced_op.lang
+    seen = []
+
+    def adapter(formulas):
+        seen.append(formulas)
+        return induced_op.outcome(InputSet.of(lang, *formulas))
+
+    assert syntax_differences(adapter, 60, lang, seed=1) == []
+    assert len(seen) == 2 * 60
 
 
 def test_syntax_probe_detects_text_keyed_adapter(induced_op):
@@ -257,10 +299,10 @@ def test_syntax_probe_detects_text_keyed_adapter(induced_op):
         # depends on the formulas' printed text, not their meaning
         return k if any("~" in format_formula(f) for f in formulas) else other
 
-    report = syntax_probe(broken, 80, lang, seed=2)
-    assert not report.clean
-    d = report.differences[0]
-    assert d.left != d.right
+    differences = syntax_differences(broken, 80, lang, seed=2)
+    assert differences
+    left, right = differences[0]
+    assert left != right
 
 
 def test_operator_json_roundtrip(tmp_path, induced_op):

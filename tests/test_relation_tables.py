@@ -145,8 +145,6 @@ def test_project_without_singletons_raises(atoms):
         project(MultiBelievabilityRelation.from_table(u, np.ones((1, 1), dtype=bool)))
     with pytest.raises(OutsideUniverseError):
         project(derive_mb_from_operator(random_operator(1, u)))
-    with pytest.raises(OutsideUniverseError):
-        project(MultiBelievabilityRelation(lang, lambda a, b: True, u))
 
 
 def matrix_reference(r):

@@ -8,21 +8,33 @@ pairwise_conj, and the per-input replay loop over it.  They are compared
 on every input: outcome, first mismatch witness and exception type.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from choicerev import synthesis
 from choicerev.believability import (
+    BelievabilityRelation,
     MultiBelievabilityRelation,
     RelationOperationError,
     derive_mb_from_operator,
+    lift,
     revise_via_mb,
 )
-from choicerev.logic import BeliefSet, InputSet, SentenceClass, pairwise_conj, parse_input_set
+from choicerev.logic import (
+    BeliefSet,
+    InputSet,
+    LanguageSpec,
+    SentenceClass,
+    pairwise_conj,
+    parse_input_set,
+)
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
     ChoiceOperator,
     OutsideUniverseError,
+    UniverseSpec,
     _tables,
     random_operator,
 )
@@ -147,6 +159,32 @@ def test_not_closed_revision_raises_on_table_paths(monkeypatch, lang1, u1):
     monkeypatch.setattr(synthesis, "_CORE_RELATION_SET", ())
     with pytest.raises(RelationOperationError, match="not closed"):
         verify_roundtrip_relation(op)
+
+
+def test_lift_revision_paths_agree():
+    """revise_via_mb on a lift builds each adjunction member by member; on
+    the lift's table over a universe it reads the revision table.  On
+    arbitrary-row base relations both give the same outcome, or the same
+    error, on every input: 1 atom up to k=4 and 2 atoms up to k=2.  Each
+    universe shows both agreement on an outcome and the not-closed error."""
+    rng = random.Random(16)
+    for atoms, top, count in ((1, 4, 30), (2, 2, 6)):
+        lang = LanguageSpec(atoms)
+        c = lang.full_mask + 1
+        bases = [BelievabilityRelation(lang, tuple(rng.getrandbits(c) for _ in range(c)))
+                 for _ in range(count)]
+        for k in range(1, top + 1):
+            u = UniverseSpec(lang, k)
+            kinds = set()
+            for base in bases:
+                lifted = lift(base)
+                table = MultiBelievabilityRelation.from_table(u, lifted.table_over(u))
+                prior = BeliefSet(lang, rng.randrange(1, c))
+                for a in _tables(u).sets:
+                    got = _outcome(revise_via_mb, lifted, prior, a)
+                    assert _outcome(revise_via_mb, table, prior, a) == got
+                    kinds.add("outcome" if isinstance(got, BeliefSet) else got)
+            assert kinds == {"outcome", RelationOperationError}, (atoms, k)
 
 
 def test_bounded_revision_rejects_outside_input(lang1, u1):
