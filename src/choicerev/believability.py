@@ -3,13 +3,14 @@
 A single-sentence relation ranks sentence classes by how willing the
 agent is to accept them; the set-level relation compares finite input
 sets ("it is at least as easy to accept some member of A as some member
-of B").  A set-level relation takes one of two forms: a table over a
-bounded universe (from_table, which also holds the ordering derived
-from a choice operator's outcome table and every relation read from a
-file), or the best-member lift of a single-sentence relation.
-Postulate suites for both levels, the lift/projection translations,
-relation-driven revision, and the metatheorem checkers used by the test
-battery all live here.
+of B").  A set-level relation is one n*n table over one bounded
+universe: a table given directly (from_table, which also holds the
+ordering derived from a choice operator's outcome table and every
+relation read from a file) or the best-member lift of a single-sentence
+relation, tabled over the universe it is asked for.  Postulate suites
+for both levels, the lift/projection translations, relation-driven
+revision, and the metatheorem checkers used by the test battery all
+live here.
 
 The translations and the artifact writer are table operations: a single
 relation's rows unpack to a c*c bool matrix, the lift's table over a
@@ -38,7 +39,6 @@ from .logic import (
     LanguageError,
     LanguageSpec,
     SentenceClass,
-    pairwise_conj,
 )
 from .models import GenerationError, _load_json
 from .operators import (
@@ -205,36 +205,22 @@ class BelievabilityRelation:
 # ---------------------------------------------------------------------------
 
 class MultiBelievabilityRelation:
-    """Set-level comparison, in one of two forms.
+    """Set-level comparison: one n*n bool table over one bounded universe.
 
-    A table relation (from_table) holds one n*n bool table over its
-    universe and answers for that universe only.  A lift (lift) has no
-    universe: holds applies the best-member rule to its single-sentence
-    base, so it answers inputs of any size, and table_over builds the
-    lift's table over any universe when first asked (_lift_table).
+    Built by from_table or lift.  holds and table_over answer for that
+    universe only: an input outside it, or over another language, raises
+    OutsideUniverseError, and a table over another universe ValueError.
     """
 
-    def __init__(
-        self,
-        lang: LanguageSpec,
-        universe: Optional[UniverseSpec],
-        base: Optional[BelievabilityRelation],
-        tables: dict[UniverseSpec, np.ndarray],
-    ):
-        self.lang = lang
-        self.universe = universe
-        self._base = base
-        self._table_cache = tables
+    def __init__(self, u: UniverseSpec, table: np.ndarray):
+        self.lang = u.lang
+        self.universe = u
+        self._table = table
         self._rows: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def holds(self, a: InputSet, b: InputSet) -> bool:
-        if self._base is None:
-            t = _tables(self.universe)
-            return bool(self._table_cache[self.universe][t.lookup(a), t.lookup(b)])
-        if len(b) == 0:
-            return True
-        base = self._base
-        return any(all(base.holds(x, y) for y in b.classes) for x in a.classes)
+        t = _tables(self.universe)
+        return bool(self._table[t.lookup(a), t.lookup(b)])
 
     def strictly(self, a: InputSet, b: InputSet) -> bool:
         return self.holds(a, b) and not self.holds(b, a)
@@ -243,14 +229,11 @@ class MultiBelievabilityRelation:
         return self.holds(a, b) and self.holds(b, a)
 
     def table_over(self, u: UniverseSpec) -> np.ndarray:
-        got = self._table_cache.get(u)
-        if got is None:
-            if self._base is None:
-                raise ValueError(
-                    f"a relation tabled over {self.universe} has no table over {u}"
-                )
-            got = self._table_cache[u] = _lift_table(self._base, u)
-        return got
+        if u != self.universe:
+            raise ValueError(
+                f"a relation tabled over {self.universe} has no table over {u}"
+            )
+        return self._table
 
     def _revision_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Relation-driven revision of every input of the universe at once.
@@ -284,7 +267,7 @@ class MultiBelievabilityRelation:
         n = u.size
         if matrix.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        return cls(u.lang, u, None, {u: matrix.astype(bool)})
+        return cls(u, matrix.astype(bool))
 
 
 def _lift_table(base: BelievabilityRelation, u: UniverseSpec) -> np.ndarray:
@@ -314,32 +297,33 @@ def _lift_table(base: BelievabilityRelation, u: UniverseSpec) -> np.ndarray:
     return m
 
 
-def lift(base: BelievabilityRelation) -> MultiBelievabilityRelation:
-    """Set comparison through best members.
+def lift(base: BelievabilityRelation, max_input_size: int) -> MultiBelievabilityRelation:
+    """Set comparison through best members, tabled over the universe of
+    base's language up to max_input_size.
 
     A is at least as acceptable as B iff B is empty or some member of A
-    is at least as acceptable as every member of B.  Answers queries of
-    any size; in particular the empty set sits above nonempty sets only.
+    is at least as acceptable as every member of B; in particular the
+    empty set sits above nonempty sets only.  The table is _lift_table's,
+    so a universe above UNIVERSE_CAP raises LanguageError here.
     """
-    return MultiBelievabilityRelation(base.lang, None, base, {})
+    u = UniverseSpec(base.lang, max_input_size)
+    return MultiBelievabilityRelation.from_table(u, _lift_table(base, u))
 
 
 def project(mb: MultiBelievabilityRelation) -> BelievabilityRelation:
     """Restriction to singleton comparisons.
 
-    Reads the c*c singleton rows and columns of the relation's own table
-    over its universe, or over the max_input_size 1 universe for a lift,
-    in one c*c gather: 0.02-0.03 ms on a table at n=137, and 0.07 ms for
-    a two-atom lift, whose n=17 table is built first.  These are the
-    relation's own set-level answers; a lift is not short-cut to its
-    base, so project(lift(r)) == r is a check of the lift's table.  A
-    universe without singletons raises OutsideUniverseError, as a point
-    query on {class 0} would.
+    Reads the c*c singleton rows and columns of the relation's table in
+    one c*c gather: 0.02-0.03 ms at n=137.  These are the relation's own
+    set-level answers; a lift is not short-cut to its base, so
+    project(lift(r, k)) == r is a check of the lift's table.  A universe
+    without singletons raises OutsideUniverseError, as a point query on
+    {class 0} would.
     """
-    u = mb.universe or UniverseSpec(mb.lang, 1)
+    u = mb.universe
     sing = _tables(u).singleton_index
     if sing[0] < 0:
-        raise OutsideUniverseError(InputSet.of(u.lang, SentenceClass(u.lang, 0)))
+        raise OutsideUniverseError(InputSet.of(u.lang, SentenceClass(u.lang, 0)), u)
     return BelievabilityRelation.from_matrix(u.lang, mb.table_over(u)[np.ix_(sing, sing)])
 
 
@@ -390,38 +374,18 @@ def revise_via_mb(
     collected theory must be deductively closed, else
     RelationOperationError.
 
-    A relation with a universe answers from one row of its revision
-    table (MultiBelievabilityRelation._revision_rows), computed for every
-    input on the first call and kept on the relation; an input outside
-    the universe, or over another language, raises OutsideUniverseError.
-    A lift, which has no universe, builds each adjunction member by
-    member.
+    The answer is one row of the relation's revision table
+    (MultiBelievabilityRelation._revision_rows), computed for every input
+    on the first call and kept on the relation; an input outside the
+    universe, or over another language, raises OutsideUniverseError.
     """
-    if mb.universe is not None:
-        i = _tables(mb.universe).lookup(a)
-        strict, mask, closed = mb._revision_rows()
-        if not strict[i]:
-            return k
-        if not closed[i]:
-            raise RelationOperationError("result not closed")
-        return BeliefSet(k.lang, int(mask[i]))
-    lang = k.lang
-    empty = InputSet.empty(lang)
-    if not (mb.holds(a, empty) and not mb.holds(empty, a)):
+    i = _tables(mb.universe).lookup(a)
+    strict, mask, closed = mb._revision_rows()
+    if not strict[i]:
         return k
-    full = lang.full_mask
-    chosen: list[int] = []
-    for m in range(full + 1):
-        adjoined = pairwise_conj(a, InputSet.of(lang, SentenceClass(lang, m)))
-        if mb.equiv(a, adjoined):
-            chosen.append(m)
-    mask = full
-    for m in chosen:
-        mask &= m
-    closed = [x for x in range(full + 1) if mask & ~x & full == 0]
-    if closed != chosen:
+    if not closed[i]:
         raise RelationOperationError("result not closed")
-    return BeliefSet(lang, mask)
+    return BeliefSet(k.lang, int(mask[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +511,8 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
 # Postulate checks: multi variant
 # ---------------------------------------------------------------------------
 
-def _check_multi(
-    rel: MultiBelievabilityRelation, p: RelationPostulateId, u: UniverseSpec
-) -> RelationReport:
+def _check_multi(rel: MultiBelievabilityRelation, p: RelationPostulateId) -> RelationReport:
+    u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
     sets = t.sets
@@ -715,28 +678,24 @@ def _check_multi(
 def check_relation_postulate(
     r: Union[BelievabilityRelation, MultiBelievabilityRelation],
     p: RelationPostulateId,
-    u: Optional[UniverseSpec] = None,
 ) -> RelationReport:
-    """Verdict with witness; set-level checks are bounded by the universe.
+    """Verdict with witness; set-level checks are bounded by the
+    relation's universe.
 
     Constructed conjunction or union sets falling outside the universe
     are skipped and tallied.
     """
     if isinstance(r, BelievabilityRelation):
         return _check_single(r, p)
-    if u is None:
-        u = r.universe
-    if u is None:
-        raise ValueError("set-level checks need a universe")
-    return _check_multi(r, p, u)
+    return _check_multi(r, p)
 
 
 def is_quasi_linear(r: BelievabilityRelation) -> bool:
     return all(_check_single(r, p).holds for p in QUASI_LINEAR_POSTULATES)
 
 
-def is_standard(rel: MultiBelievabilityRelation, u: UniverseSpec) -> bool:
-    return all(_check_multi(rel, p, u).holds for p in STANDARD_POSTULATES)
+def is_standard(rel: MultiBelievabilityRelation) -> bool:
+    return all(_check_multi(rel, p).holds for p in STANDARD_POSTULATES)
 
 
 # ---------------------------------------------------------------------------
@@ -859,15 +818,11 @@ class MetatheoremReport:
         }
 
 
-def _antecedents(
-    rel: MultiBelievabilityRelation, u: UniverseSpec, ps: tuple
-) -> dict:
-    return {p.value: _check_multi(rel, p, u).holds for p in ps}
+def _antecedents(rel: MultiBelievabilityRelation, ps: tuple) -> dict:
+    return {p.value: _check_multi(rel, p).holds for p in ps}
 
 
-def check_member_reduction(
-    rel: MultiBelievabilityRelation, u: UniverseSpec
-) -> MetatheoremReport:
+def check_member_reduction(rel: MultiBelievabilityRelation) -> MetatheoremReport:
     """Set comparisons reduce to member comparisons, both directions.
 
     For nonempty sets: A ranks at least as high as B iff some member of
@@ -876,7 +831,6 @@ def check_member_reduction(
     """
     ante = _antecedents(
         rel,
-        u,
         (
             RelationPostulateId.DETERMINATION,
             RelationPostulateId.TRANSITIVITY,
@@ -884,6 +838,7 @@ def check_member_reduction(
             RelationPostulateId.UNION,
         ),
     )
+    u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
     n = len(t.sets)
@@ -911,24 +866,21 @@ def check_member_reduction(
     )
 
 
-def check_coupling_collapse(
-    rel: MultiBelievabilityRelation, u: UniverseSpec
-) -> MetatheoremReport:
+def check_coupling_collapse(rel: MultiBelievabilityRelation) -> MetatheoremReport:
     """Under transitivity, counter dominance and union: completeness is
     forced, and the weak and plain conjunction-compatibility postulates
     agree."""
     ante = _antecedents(
         rel,
-        u,
         (
             RelationPostulateId.TRANSITIVITY,
             RelationPostulateId.COUNTER_DOMINANCE,
             RelationPostulateId.UNION,
         ),
     )
-    comp = _check_multi(rel, RelationPostulateId.COMPLETENESS, u)
-    wc = _check_multi(rel, RelationPostulateId.WEAK_COUPLING, u)
-    cp = _check_multi(rel, RelationPostulateId.COUPLING, u)
+    comp = _check_multi(rel, RelationPostulateId.COMPLETENESS)
+    wc = _check_multi(rel, RelationPostulateId.WEAK_COUPLING)
+    cp = _check_multi(rel, RelationPostulateId.COUPLING)
     holds = comp.holds and (wc.holds == cp.holds)
     applicable = all(ante.values())
     witness = None
@@ -945,22 +897,20 @@ def check_coupling_collapse(
     )
 
 
-def check_representation_existence(
-    rel: MultiBelievabilityRelation, u: UniverseSpec
-) -> MetatheoremReport:
+def check_representation_existence(rel: MultiBelievabilityRelation) -> MetatheoremReport:
     """Every nonempty set has a member exactly as acceptable as the set.
 
     Sound under transitivity, counter dominance and union.
     """
     ante = _antecedents(
         rel,
-        u,
         (
             RelationPostulateId.TRANSITIVITY,
             RelationPostulateId.COUNTER_DOMINANCE,
             RelationPostulateId.UNION,
         ),
     )
+    u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
     eq = m & m.T
@@ -986,9 +936,7 @@ def check_representation_existence(
     )
 
 
-def check_member_equivalence(
-    rel: MultiBelievabilityRelation, u: UniverseSpec
-) -> MetatheoremReport:
+def check_member_equivalence(rel: MultiBelievabilityRelation) -> MetatheoremReport:
     """For each member: adjoining it leaves the set's rank unchanged iff
     the member alone is exactly as acceptable as the set.
 
@@ -996,30 +944,31 @@ def check_member_equivalence(
     """
     ante = _antecedents(
         rel,
-        u,
         (
             RelationPostulateId.TRANSITIVITY,
             RelationPostulateId.COUNTER_DOMINANCE,
         ),
     )
+    u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
     eq = m & m.T
-    lang = u.lang
-    checked = 0
-    first = None
-    for i, a in enumerate(t.sets):
-        for c in a.classes:
-            adjoined = pairwise_conj(a, InputSet.of(lang, c))
-            j = t.index[adjoined.mask_tuple]
-            s = t.index[(c.mask,)]
-            checked += 1
-            if bool(eq[i, j]) != bool(eq[s, i]) and first is None:
-                first = RelationWitness(
-                    (a, InputSet.of(lang, c)),
-                    "adjunction test and member test disagree",
-                )
+    rows = np.arange(len(t.sets))[:, None]
+    # the singleton of member j of set i, and the adjunction of that
+    # member, which is no larger than the set and so lies in the
+    # universe; empty slots read cells that valid discards
+    single = t.singleton_index[t.member]
+    adjoined = t.conj_index[rows, single]
+    viol = t.valid & (eq[rows, adjoined] != eq[single, rows])
+    checked = int(t.sizes.sum())
     applicable = all(ante.values())
+    first = None
+    if viol.any():
+        i, j = _first_true(viol)
+        first = RelationWitness(
+            (t.sets[i], t.sets[single[i, j]]),
+            "adjunction test and member test disagree",
+        )
     return MetatheoremReport(
         "member_equivalence", ante, applicable, first is None, checked, witness=first
     )
@@ -1095,10 +1044,6 @@ def relation_to_json(
     if isinstance(rel, BelievabilityRelation):
         head = {"atoms": rel.lang.atom_count, "kind": "single"}
         codes, m = _class_codes(rel.lang), rel.matrix()
-    elif rel.universe is None:
-        raise ValueError(
-            "only bounded relations can be serialized; materialize a table first"
-        )
     else:
         u = rel.universe
         head = {"atoms": u.lang.atom_count, "kind": "multi",

@@ -276,8 +276,7 @@ def _cmd_translate(args) -> int:
         if not isinstance(rel, BelievabilityRelation):
             print("error: lift expects a single-sentence relation", file=sys.stderr)
             return 2
-        u = UniverseSpec(rel.lang, args.max_input_size)
-        result = MultiBelievabilityRelation.from_table(u, lift(rel).table_over(u))
+        result = lift(rel, args.max_input_size)
     else:
         if not isinstance(rel, MultiBelievabilityRelation):
             print("error: project expects a set-level relation", file=sys.stderr)

@@ -20,7 +20,6 @@ are all O(1) bit operations.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -548,34 +547,6 @@ def parse_input_set(text: str, lang: LanguageSpec) -> InputSet:
         classes.add(cur.sentence())
     cur.finish()
     return InputSet(lang, frozenset(classes))
-
-
-def conj_all(a: InputSet) -> SentenceClass:
-    """Conjunction of every member; the empty conjunction is the tautology."""
-    mask = a.lang.full_mask
-    for c in a.classes:
-        mask &= c.mask
-    return SentenceClass(a.lang, mask)
-
-
-def pairwise_conj(a: InputSet, b: InputSet) -> InputSet:
-    """All conjunctions of one member from each set."""
-    return InputSet(
-        a.lang,
-        frozenset(
-            SentenceClass(a.lang, x.mask & y.mask)
-            for x, y in itertools.product(a.classes, b.classes)
-        ),
-    )
-
-
-def set_equiv(a: InputSet, b: InputSet) -> bool:
-    """Element-wise equivalence in both directions.
-
-    Members are sentence classes (already quotiented by equivalence), so
-    this is exactly set equality.
-    """
-    return a.classes == b.classes
 
 
 # ---------------------------------------------------------------------------

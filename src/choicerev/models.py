@@ -16,6 +16,7 @@ preferred to the inconsistent one).
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -285,8 +286,6 @@ def enumerate_models(lang: LanguageSpec) -> list[RelationalModel]:
     """
     if lang.atom_count > 1:
         raise LanguageSpecTooLarge(lang)
-    import itertools
-
     sets = [BeliefSet(lang, m) for m in range(lang.full_mask + 1)]
     out = []
     for k in sets:

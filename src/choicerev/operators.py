@@ -35,8 +35,13 @@ UNIVERSE_CAP = 2000
 
 
 class OutsideUniverseError(KeyError):
-    def __init__(self, a: InputSet):
-        super().__init__(f"input set of size {len(a)} is outside the bounded universe")
+    def __init__(self, a: InputSet, u: UniverseSpec):
+        if a.lang != u.lang:
+            what = f"input set over {a.lang.atom_count} atoms"
+            where = f" over {u.lang.atom_count} atoms"
+        else:
+            what, where = f"input set of size {len(a)}", ""
+        super().__init__(f"{what} is outside the bounded universe{where}")
         self.input_set = a
 
 
@@ -114,7 +119,7 @@ class _Tables:
         another language or larger than the size cap."""
         i = self.index.get(a.mask_tuple) if a.lang == self.u.lang else None
         if i is None:
-            raise OutsideUniverseError(a)
+            raise OutsideUniverseError(a, self.u)
         return i
 
     def meets(self, masks: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import graphs
 from .believability import (
+    QUASI_LINEAR_POSTULATES,
     BelievabilityRelation,
     MultiBelievabilityRelation,
     RelationOperationError,
@@ -144,6 +145,26 @@ def _universe_header(u: UniverseSpec) -> dict:
     }
 
 
+def _gate_failure(
+    op: ChoiceOperator, gate, theorem: int, header: dict
+) -> Optional[RoundTripReport]:
+    """The failing report for the first postulate of gate that op breaks,
+    or None when op passes them all."""
+    reports = check_postulates(op, gate)
+    for p in gate:
+        if not reports[p].holds:
+            w = reports[p].witness
+            return RoundTripReport(
+                theorem,
+                False,
+                f"operator fails {p.value}",
+                witness={"kind": "postulate", "postulate": p.value,
+                         "witness": w.to_dict() if w else None},
+                universe=header,
+            )
+    return None
+
+
 def verify_roundtrip_model(
     op: ChoiceOperator, require_extended: bool = False
 ) -> RoundTripReport:
@@ -158,18 +179,9 @@ def verify_roundtrip_model(
     gate = list(BASIC_POSTULATES)
     if require_extended:
         gate += list(SUPPLEMENTARY_POSTULATES)
-    reports = check_postulates(op, gate)
-    for p in gate:
-        if not reports[p].holds:
-            w = reports[p].witness
-            return RoundTripReport(
-                theorem,
-                False,
-                f"operator fails {p.value}",
-                witness={"kind": "postulate", "postulate": p.value,
-                         "witness": w.to_dict() if w else None},
-                universe=header,
-            )
+    failed = _gate_failure(op, gate, theorem, header)
+    if failed is not None:
+        return failed
     try:
         model = synthesize_model(op)
     except SynthesisError as exc:
@@ -297,23 +309,14 @@ def verify_roundtrip_relation(op: ChoiceOperator, standard: bool = False) -> Rou
     theorem = 5 if standard else 4
     header = _universe_header(op.universe)
     gate = _STANDARD_OPERATOR_GATE if standard else BASIC_POSTULATES
-    reports = check_postulates(op, gate)
-    for p in gate:
-        if not reports[p].holds:
-            w = reports[p].witness
-            return RoundTripReport(
-                theorem,
-                False,
-                f"operator fails {p.value}",
-                witness={"kind": "postulate", "postulate": p.value,
-                         "witness": w.to_dict() if w else None},
-                universe=header,
-            )
+    failed = _gate_failure(op, gate, theorem, header)
+    if failed is not None:
+        return failed
     mb = derive_mb_from_operator(op)
     artifact = relation_to_json(mb)
     wanted = tuple(RelationPostulateId) if standard else _CORE_RELATION_SET
     for p in wanted:
-        rep = check_relation_postulate(mb, p, op.universe)
+        rep = check_relation_postulate(mb, p)
         if not rep.holds:
             return RoundTripReport(
                 theorem,
@@ -355,22 +358,15 @@ def verify_translation(
     """Round-trip the single/set-level translations.
 
     Single relations must be quasi-linear; their lift must be standard on
-    the bounded universe and project back identically.  Set-level
-    relations must be standard; their projection must be quasi-linear and
-    lift back to the identical table.
+    the universe up to max_input_size and project back identically.
+    Set-level relations must be standard on their own universe, which
+    max_input_size does not change; their projection must be quasi-linear
+    and lift back to the identical table.
     """
     if isinstance(r, BelievabilityRelation):
         u = UniverseSpec(r.lang, max_input_size)
         header = _universe_header(u)
-        for p in (
-            RelationPostulateId.TRANSITIVITY,
-            RelationPostulateId.WEAK_COUPLING,
-            RelationPostulateId.COUPLING,
-            RelationPostulateId.COUNTER_DOMINANCE,
-            RelationPostulateId.MINIMALITY,
-            RelationPostulateId.MAXIMALITY,
-            RelationPostulateId.COMPLETENESS,
-        ):
+        for p in QUASI_LINEAR_POSTULATES:
             rep = check_relation_postulate(r, p)
             if not rep.holds:
                 return RoundTripReport(
@@ -384,11 +380,11 @@ def verify_translation(
                     },
                     universe=header,
                 )
-        lifted = lift(r)
+        lifted = lift(r, max_input_size)
         bad = [
             p.value
             for p in RelationPostulateId
-            if not check_relation_postulate(lifted, p, u).holds
+            if not check_relation_postulate(lifted, p).holds
         ]
         if bad:
             return RoundTripReport(
@@ -416,12 +412,12 @@ def verify_translation(
             universe=header,
         )
 
-    u = r.universe or UniverseSpec(r.lang, max_input_size)
+    u = r.universe
     header = _universe_header(u)
     bad = [
         p.value
         for p in RelationPostulateId
-        if not check_relation_postulate(r, p, u).holds
+        if not check_relation_postulate(r, p).holds
     ]
     if bad:
         return RoundTripReport(
@@ -440,12 +436,10 @@ def verify_translation(
             witness={"kind": "relation_postulate"},
             universe=header,
         )
-    lifted = lift(base)
-    if not np.array_equal(lifted.table_over(u), r.table_over(u)):
-        m1 = lifted.table_over(u)
-        m2 = r.table_over(u)
+    differs = lift(base, u.max_input_size).table_over(u) != r.table_over(u)
+    if differs.any():
         t = _tables(u)
-        a, b = _first_true(m1 != m2)
+        a, b = _first_true(differs)
         return RoundTripReport(
             3,
             False,

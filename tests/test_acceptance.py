@@ -260,7 +260,7 @@ def test_set_comparison_reduction_and_representation(
     single_orders, set_orders, lang1, u2
 ):
     u1_full = UniverseSpec(lang1, 4)
-    tiny_rels = [lift(r) for r in enumerate_quasi_linear(lang1)]
+    tiny_rels = [lift(r, u1_full.max_input_size) for r in enumerate_quasi_linear(lang1)]
     for m in enumerate_models(lang1):
         op = ChoiceOperator.from_model(m, max_input_size=4)
         if passes(op, SUPPLEMENTARY_POSTULATES):
@@ -270,9 +270,9 @@ def test_set_comparison_reduction_and_representation(
     violations = []
     missing = []
     for j, mb in enumerate(tiny_rels):
-        assert is_standard(mb, u1_full)
+        assert is_standard(mb)
         for chk in METATHEOREM_CHECKS:
-            rep = chk(mb, u1_full)
+            rep = chk(mb)
             if not (rep.applicable and rep.holds):
                 violations.append(("tiny", j, chk.__name__))
         for a in enumerate_universe(u1_full):
@@ -283,10 +283,10 @@ def test_set_comparison_reduction_and_representation(
             except ValueError:
                 missing.append(("tiny", j, a.encode()))
 
-    full_rels = [lift(r) for r in single_orders] + set_orders
+    full_rels = [lift(r, u2.max_input_size) for r in single_orders] + set_orders
     for j, mb in enumerate(full_rels):
         for chk in METATHEOREM_CHECKS:
-            rep = chk(mb, u2)
+            rep = chk(mb)
             if not (rep.applicable and rep.holds):
                 violations.append(("seeded", j, chk.__name__))
         for a in enumerate_universe(u2):

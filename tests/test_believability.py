@@ -41,7 +41,6 @@ from choicerev.logic import (
     LanguageSpec,
     SentenceClass,
     class_of,
-    conj_all,
     parse_input_set,
 )
 from choicerev.models import ModelFlags, generate_model
@@ -55,6 +54,7 @@ from choicerev.operators import (
     passes,
     random_operator,
 )
+from test_logic import conj_all
 
 
 def sc(lang, mask):
@@ -201,7 +201,7 @@ def test_random_quasi_linear_draws_pinned(lang1, lang2):
 
 
 def test_lift_empty_set_semantics(strict_order, lang1):
-    mb = lift(strict_order)
+    mb = lift(strict_order, 2)
     empty = InputSet.empty(lang1)
     some = single_set(lang1, 2)
     assert mb.holds(some, empty)
@@ -211,7 +211,7 @@ def test_lift_empty_set_semantics(strict_order, lang1):
 
 
 def test_lift_best_member(strict_order, lang1):
-    mb = lift(strict_order)
+    mb = lift(strict_order, 2)
     both = parse_input_set("p0, ~p0", lang1)
     neg = parse_input_set("~p0", lang1)
     # the stronger member p0 carries the set
@@ -223,8 +223,8 @@ def test_lift_is_standard_and_projects_back(lang1, lang2, u1, u2):
     for lang, u in ((lang1, u1), (lang2, u2)):
         for seed in range(4):
             r = random_quasi_linear(seed, lang)
-            mb = lift(r)
-            assert is_standard(mb, u)
+            mb = lift(r, u.max_input_size)
+            assert is_standard(mb)
             assert project(mb) == r
 
 
@@ -235,7 +235,7 @@ def test_package_vs_lift_disagree(strict_order, lang1):
     # whole-package reading collapses the inconsistent pair to the
     # contradiction; best-member reading keeps it at p0's level
     assert not strict_order.holds(conj_all(both), conj_all(neg))
-    assert lift(strict_order).holds(both, neg)
+    assert lift(strict_order, 2).holds(both, neg)
     # empty set packages as the tautology
     assert strict_order.holds(conj_all(InputSet.empty(lang1)), conj_all(taut))
 
@@ -252,7 +252,7 @@ def test_derived_relation_postulates(induced_op2):
     assert passes(induced_op2, SUPPLEMENTARY_POSTULATES)
     rel = derive_mb_from_operator(induced_op2)
     assert rel.universe == induced_op2.universe
-    assert is_standard(rel, induced_op2.universe)
+    assert is_standard(rel)
 
 
 def test_derived_relation_regenerates_operator(induced_op2):
@@ -263,7 +263,7 @@ def test_derived_relation_regenerates_operator(induced_op2):
 
 
 def test_revise_via_mb_worked_example(strict_order, lang1):
-    mb = lift(strict_order)
+    mb = lift(strict_order, 2)
     k = BeliefSet.trivial(lang1)
     assert revise_via_mb(mb, k, InputSet.empty(lang1)) == k
     assert revise_via_mb(mb, k, parse_input_set("T", lang1)) == k
@@ -275,7 +275,7 @@ def test_revise_via_mb_worked_example(strict_order, lang1):
 
 
 def test_representation_element(strict_order, lang1):
-    mb = lift(strict_order)
+    mb = lift(strict_order, 2)
     p0 = class_of("p0", lang1)
     assert representation_element(mb, single_set(lang1, 2)) == p0
     both = parse_input_set("p0, ~p0", lang1)
@@ -308,19 +308,19 @@ def rank_trap(u1):
     return table_of(u1, rank_trap_holds)
 
 
-def test_rank_trap_antecedents(rank_trap, u1):
+def test_rank_trap_antecedents(rank_trap):
     for p in (
         RelationPostulateId.DETERMINATION,
         RelationPostulateId.TRANSITIVITY,
         RelationPostulateId.COUNTER_DOMINANCE,
     ):
-        assert check_relation_postulate(rank_trap, p, u1).holds, p.value
-    union = check_relation_postulate(rank_trap, RelationPostulateId.UNION, u1)
+        assert check_relation_postulate(rank_trap, p).holds, p.value
+    union = check_relation_postulate(rank_trap, RelationPostulateId.UNION)
     assert not union.holds
 
 
-def test_rank_trap_breaks_member_reduction(rank_trap, lang1, u1):
-    report = check_member_reduction(rank_trap, u1)
+def test_rank_trap_breaks_member_reduction(rank_trap, lang1):
+    report = check_member_reduction(rank_trap)
     assert not report.applicable
     assert report.antecedents["union"] is False
     assert not report.holds
@@ -333,8 +333,8 @@ def test_rank_trap_breaks_member_reduction(rank_trap, lang1, u1):
     assert not rank_trap.holds(parse_input_set("~p0", lang1), taut)
 
 
-def test_rank_trap_has_no_representation_element(rank_trap, lang1, u1):
-    report = check_representation_existence(rank_trap, u1)
+def test_rank_trap_has_no_representation_element(rank_trap, lang1):
+    report = check_representation_existence(rank_trap)
     assert not report.applicable
     assert not report.holds
     with pytest.raises(RelationOperationError):
@@ -343,14 +343,14 @@ def test_rank_trap_has_no_representation_element(rank_trap, lang1, u1):
 
 def test_metatheorems_on_standard_relations(lang2, u2):
     for seed in range(4):
-        mb = lift(random_quasi_linear(seed, lang2))
+        mb = lift(random_quasi_linear(seed, lang2), u2.max_input_size)
         for checker in (
             check_member_reduction,
             check_coupling_collapse,
             check_representation_existence,
             check_member_equivalence,
         ):
-            report = checker(mb, u2)
+            report = checker(mb)
             assert report.applicable, report.name
             assert report.holds, (report.name, report.witness)
             assert report.checked > 0
@@ -389,11 +389,6 @@ def test_multi_relation_json_size_inference(tmp_path, induced_op2):
     p.write_text(json.dumps(data))
     again = load_relation(str(p))
     assert again.universe.max_input_size == 2
-
-
-def test_unbounded_relation_not_serializable(strict_order):
-    with pytest.raises(ValueError, match="bounded"):
-        save_relation(lift(strict_order), "/dev/null")
 
 
 def test_relation_json_errors(tmp_path, strict_order):
@@ -440,11 +435,6 @@ def test_project_of_fn_built_relations(rank_trap, lang1, u1):
         project(no_singletons)
 
 
-def test_check_multi_needs_universe(strict_order):
-    with pytest.raises(ValueError, match="universe"):
-        check_relation_postulate(lift(strict_order), RelationPostulateId.TRANSITIVITY)
-
-
 @pytest.mark.parametrize("call", [
     lambda op, rel, a: op.outcome(a),
     lambda op, rel, a: rel.holds(a, InputSet.empty(rel.lang)),
@@ -457,6 +447,37 @@ def test_other_language_input_is_outside_the_universe(call):
     op = random_operator(0, UniverseSpec(LanguageSpec(2), 2))
     with pytest.raises(OutsideUniverseError):
         call(op, derive_mb_from_operator(op), parse_input_set("p0", LanguageSpec(1)))
+
+
+def test_lift_answers_inputs_of_its_own_language_only():
+    """A lift is tabled over one universe, so an input over another
+    language is outside it, as for any table relation."""
+    lang2 = LanguageSpec(2)
+    mb = lift(random_quasi_linear(1, lang2), 2)
+    p0_1 = parse_input_set("p0", LanguageSpec(1))
+    with pytest.raises(OutsideUniverseError):
+        mb.holds(parse_input_set("p0", lang2), p0_1)
+    with pytest.raises(OutsideUniverseError):
+        revise_via_mb(mb, BeliefSet.trivial(lang2), p0_1)
+
+
+def test_lift_above_the_universe_cap_raises():
+    r = random_quasi_linear(0, LanguageSpec(2))
+    with pytest.raises(LanguageError, match="universe cap"):
+        lift(r, 4)
+    assert lift(r, 3).universe.size == 697
+
+
+def test_outside_universe_message_names_the_cause(u2):
+    op = random_operator(0, u2)
+    with pytest.raises(OutsideUniverseError) as info:
+        op.outcome(parse_input_set("p0", LanguageSpec(1)))
+    assert info.value.args[0] == (
+        "input set over 1 atoms is outside the bounded universe over 2 atoms"
+    )
+    with pytest.raises(OutsideUniverseError) as info:
+        op.outcome(parse_input_set("p0, p1, p0 & p1", u2.lang))
+    assert info.value.args[0] == "input set of size 3 is outside the bounded universe"
 
 
 def test_table_over_answers_for_its_own_universe_only(u2):

@@ -266,7 +266,7 @@ def _corpus(u, seed):
     rels += [derive_mb_from_operator(random_operator(seed + s, u)) for s in range(4)]
     for density in (0.3, 0.6, 0.9, 0.97, 0.99):
         rels.append(MultiBelievabilityRelation.from_table(u, rng.random((n, n)) < density))
-    rels += [lift(random_quasi_linear(seed + s, u.lang)) for s in range(4)]
+    rels += [lift(random_quasi_linear(seed + s, u.lang), u.max_input_size) for s in range(4)]
     for rel in derived[6:]:
         m = rel.table_over(u).copy()
         i, j = (int(v) for v in rng.integers(0, n, size=2))
@@ -290,7 +290,7 @@ def test_weak_coupling_matches_triple_table(n, references):
     c2, c3 = references[n]
     verdicts = set()
     for rel in _corpus(u, seed=n):
-        got = _check_multi(rel, WC, u)
+        got = _check_multi(rel, WC)
         want = _reference_weak_coupling(rel, u, c2, c3)
         assert got.to_dict() == want.to_dict()
         verdicts.add(got.holds)
@@ -318,7 +318,7 @@ def test_weak_coupling_witness_in_cell_order(n, references):
             m = np.ones((n, n), dtype=bool)
             m[a] = rng.random(n) < 0.7
             rel = MultiBelievabilityRelation.from_table(u, m)
-            got = _check_multi(rel, WC, u)
+            got = _check_multi(rel, WC)
             assert got.to_dict() == _reference_weak_coupling(rel, u, c2, c3).to_dict()
             verdicts.add(got.holds)
     assert False in verdicts
@@ -333,7 +333,7 @@ def test_weak_coupling_matches_row_loop_at_full_size(n):
     derived = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
     verdicts = set()
     for rel in (derived, _break_weak_coupling(derived, u)):
-        got = _check_multi(rel, WC, u)
+        got = _check_multi(rel, WC)
         assert got.to_dict() == _row_loop_weak_coupling(rel, u).to_dict()
         verdicts.add(got.holds)
     assert verdicts == {True, False}
@@ -345,7 +345,7 @@ def test_counter_dominance_and_union_match_references(n):
     verdicts = {CD: set(), UNION: set()}
     for rel in _corpus(u, seed=n):
         for p, reference in ((CD, _reference_counter_dominance), (UNION, _reference_union)):
-            got = _check_multi(rel, p, u)
+            got = _check_multi(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict()
             verdicts[p].add(got.holds)
     assert verdicts == {CD: {True, False}, UNION: {True, False}}

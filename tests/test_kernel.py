@@ -30,9 +30,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_conjunction import _reference_union_index, _universe
 from test_graphs import _reference_scc, _reference_shortest_path
+from test_logic import set_equiv
 
 from choicerev.graphs import strongly_connected_components
-from choicerev.logic import BeliefSet, InputSet, LanguageSpec, SentenceClass, set_equiv
+from choicerev.logic import BeliefSet, InputSet, LanguageSpec, SentenceClass
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
     _CHECKERS,

@@ -1,4 +1,11 @@
-"""Core propositional layer: classes, theories, input sets, parsing."""
+"""Core propositional layer: classes, theories, input sets, parsing.
+
+conj_all, pairwise_conj and set_equiv are the set-conjunction helpers
+that other test modules use as references, written from their
+definitions and tested here.
+"""
+
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,17 +25,42 @@ from choicerev.logic import (
     SentenceClass,
     Top,
     class_of,
-    conj_all,
     entails,
     enumerate_belief_sets,
     enumerate_classes,
     evaluate,
     format_formula,
-    pairwise_conj,
     parse_formula,
     parse_input_set,
-    set_equiv,
 )
+
+
+def conj_all(a: InputSet) -> SentenceClass:
+    """Conjunction of every member; the empty conjunction is the tautology."""
+    mask = a.lang.full_mask
+    for c in a.classes:
+        mask &= c.mask
+    return SentenceClass(a.lang, mask)
+
+
+def pairwise_conj(a: InputSet, b: InputSet) -> InputSet:
+    """All conjunctions of one member from each set."""
+    return InputSet(
+        a.lang,
+        frozenset(
+            SentenceClass(a.lang, x.mask & y.mask)
+            for x, y in itertools.product(a.classes, b.classes)
+        ),
+    )
+
+
+def set_equiv(a: InputSet, b: InputSet) -> bool:
+    """Element-wise equivalence in both directions.
+
+    Members are sentence classes (already quotiented by equivalence), so
+    this is exactly set equality.
+    """
+    return a.classes == b.classes
 
 
 # frozen: at atom_count=2 the valuations are 00,01,10,11 (char i = atom i)

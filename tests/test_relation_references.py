@@ -21,6 +21,11 @@ K.  Maximality: no nonempty set but the contradiction's singleton has
 every nonempty set standing in the relation to it.  Completeness: every
 two sets compare one way or the other.  Determination: every nonempty
 set stands in the relation to the empty set, and not back.
+
+The member-equivalence metatheorem has a reference too: for each set
+and each of its members in scan order, the adjunction of the member,
+built with pairwise_conj, keeps the set's rank exactly when the member
+alone is as acceptable as the set.
 """
 
 import functools
@@ -38,6 +43,7 @@ from test_conjunction import (
     _reference_weak_coupling,
     _universe,
 )
+from test_logic import pairwise_conj
 
 from choicerev.believability import (
     QUASI_LINEAR_POSTULATES,
@@ -48,12 +54,13 @@ from choicerev.believability import (
     RelationWitness,
     _check_multi,
     _check_single,
+    check_member_equivalence,
     check_relation_postulate,
     derive_mb_from_operator,
     lift,
     random_quasi_linear,
 )
-from choicerev.logic import LanguageSpec, SentenceClass
+from choicerev.logic import InputSet, LanguageSpec, SentenceClass
 from choicerev.operators import ChoiceOperator, _tables, random_operator
 from choicerev.synthesis import verify_roundtrip_relation, verify_translation
 
@@ -255,7 +262,7 @@ def test_multi_checkers_match_references(n):
     verdicts = {TR: set(), CP: set()}
     for rel in rels:
         for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
-            got = _check_multi(rel, p, u)
+            got = _check_multi(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict(), p.value
             verdicts[p].add(got.holds)
     assert verdicts == {TR: {True, False}, CP: {True, False}}
@@ -273,7 +280,7 @@ def _multi_breaking_flips(rel, u, seed):
         (CP, reference_multi_coupling, lambda: _coupling_cells(m, lambda a, b: t.conj_index[a, b])),
     )
     for p, reference, cells in cases:
-        if not _check_multi(rel, p, u).holds:
+        if not _check_multi(rel, p).holds:
             continue
         found = _breaking_flip(cells(), flip, lambda r: reference(r, u), seed)
         if found:
@@ -292,8 +299,8 @@ def test_multi_holds_breaks_under_flip(n):
     for i, rel in enumerate(rels):
         for p, flipped, want in _multi_breaking_flips(rel, u, seed=i):
             assert not want.holds
-            assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
-            got_wc = _check_multi(flipped, WC, u)
+            assert _check_multi(flipped, p).to_dict() == want.to_dict()
+            got_wc = _check_multi(flipped, WC)
             assert got_wc.to_dict() == _reference_weak_coupling(flipped, u, c2, c3).to_dict()
             broken[p] += 1
     assert broken[TR] >= 5 and broken[CP] >= 5, broken
@@ -315,7 +322,7 @@ def test_multi_checkers_match_references_at_697():
     verdicts = []
     for r in (rel, _flip_multi(rel, u, a, b)):
         for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
-            got = _check_multi(r, p, u)
+            got = _check_multi(r, p)
             assert got.to_dict() == reference(r, u).to_dict(), p.value
             verdicts.append(got.holds)
     assert verdicts[0] and not verdicts[2]
@@ -424,7 +431,7 @@ def test_multi_set_checkers_match_references(n):
     verdicts = {p: set() for p in SET_REFERENCES}
     for rel in rels:
         for p, reference in SET_REFERENCES.items():
-            got = _check_multi(rel, p, u)
+            got = _check_multi(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict(), p.value
             verdicts[p].add(got.holds)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
@@ -441,14 +448,14 @@ def test_multi_set_holds_breaks_under_flip(n):
         m = rel.table_over(u)
         flip = functools.partial(_flip_multi, rel, u)
         for p, reference in SET_REFERENCES.items():
-            if not _check_multi(rel, p, u).holds:
+            if not _check_multi(rel, p).holds:
                 continue
             cells = _set_breaking_cells(m, u, p)
             found = _breaking_flip(cells, flip, lambda r: reference(r, u), seed=i)
             assert (found is not None) == bool(cells), (p.value, i)
             if found:
                 flipped, want = found
-                assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
+                assert _check_multi(flipped, p).to_dict() == want.to_dict()
                 broken[p] += 1
     assert min(broken.values()) >= 3, broken
 
@@ -462,7 +469,7 @@ def test_multi_set_checkers_match_references_at_697():
     m = rel.table_over(u)
     verdicts = {}
     for p, reference in SET_REFERENCES.items():
-        got = _check_multi(rel, p, u)
+        got = _check_multi(rel, p)
         assert got.to_dict() == reference(rel, u).to_dict(), p.value
         verdicts[p] = got.holds
         if not got.holds:
@@ -471,8 +478,60 @@ def test_multi_set_checkers_match_references_at_697():
         found = _breaking_flip(_set_breaking_cells(m, u, p), flip, lambda r: reference(r, u), 697, tries=3)
         assert found is not None, p.value
         flipped, want = found
-        assert _check_multi(flipped, p, u).to_dict() == want.to_dict()
+        assert _check_multi(flipped, p).to_dict() == want.to_dict()
     assert verdicts == {MN: True, MX: False, CM: True, DT: True}
+
+
+def reference_member_equivalence(rel):
+    """(checked, failing) for check_member_equivalence: one instance per
+    (set, member), and every failing pair in scan order, members in
+    canonical order."""
+    u = rel.universe
+    t = _tables(u)
+    m = rel.table_over(u)
+    eq = m & m.T
+    checked, failing = 0, []
+    for i, a in enumerate(t.sets):
+        for c in a:
+            single = InputSet.of(u.lang, c)
+            j = t.index[pairwise_conj(a, single).mask_tuple]
+            s = t.index[single.mask_tuple]
+            checked += 1
+            if bool(eq[i, j]) != bool(eq[s, i]):
+                failing.append((a, single))
+    return checked, failing
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_member_equivalence_matches_reference(n):
+    """Random tables at five densities and two lifts: the same verdict,
+    count and first witness as the loop.  With singletons only (n=17)
+    every adjunction is the set itself, so the check always holds; at
+    n=16 and 137 it fails too.  At n=16 some first failing set has two
+    failing members, so the member order inside a set decides the
+    witness."""
+    u = _universe(n)
+    rng = np.random.default_rng(n)
+    rels = [lift(random_quasi_linear(n + s, u.lang), u.max_input_size) for s in range(2)]
+    for density in (0.3, 0.6, 0.9, 0.97, 0.99):
+        rels += [MultiBelievabilityRelation.from_table(u, rng.random((n, n)) < density)
+                 for _ in range(5)]
+    verdicts, member_order = set(), False
+    for rel in rels:
+        got = check_member_equivalence(rel)
+        checked, failing = reference_member_equivalence(rel)
+        assert got.checked == checked
+        assert got.holds == (not failing)
+        if failing:
+            want = RelationWitness(failing[0], "adjunction test and member test disagree")
+            assert got.witness.to_dict() == want.to_dict()
+            if len(failing) > 1 and failing[1][0] == failing[0][0]:
+                member_order = True
+        else:
+            assert got.witness is None
+        verdicts.add(got.holds)
+    assert verdicts == ({True} if n == 17 else {True, False})
+    assert member_order or n != 16
 
 
 # Every relation postulate report on the corpus below, and every round-trip
@@ -491,7 +550,7 @@ def test_relation_report_digest_pinned():
         u, rels = _multi_cases(n)
         for rel in rels:
             for p in RelationPostulateId:
-                add(check_relation_postulate(rel, p, u))
+                add(check_relation_postulate(rel, p))
     rng = random.Random(14)
     for atoms in (1, 2):
         lang = LanguageSpec(atoms)
@@ -510,7 +569,7 @@ def test_relation_report_digest_pinned():
     for seed in range(8):
         r = random_quasi_linear(seed, u.lang)
         add(verify_translation(r))
-        add(verify_translation(lift(r)))
+        add(verify_translation(lift(r, 2)))
         add(verify_translation(_flip_single(r, rng.randrange(16), rng.randrange(16))))
     for op in ops[:4]:
         add(verify_translation(derive_mb_from_operator(op)))

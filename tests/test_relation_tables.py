@@ -104,7 +104,7 @@ def relations_to_project():
         n = u.size
         out.append(MultiBelievabilityRelation.from_table(u, rng.random((n, n)) < 0.5))
     for lang in (lang1, lang2):
-        out += [lift(r) for r in single_relations(lang, 3)]
+        out += [lift(r, 1) for r in single_relations(lang, 3)]
     return out
 
 
@@ -114,27 +114,26 @@ def test_project_matches_singleton_queries():
 
 
 def test_project_reads_the_lifted_table(monkeypatch):
-    """project(lift(r)) is r only because the lift's table says so: a lift
-    table with one singleton cell flipped shows up in the projection, and
-    the translation round trip reports it."""
+    """project(lift(r, k)) is r only because the lift's table says so: a
+    lift table with one singleton cell flipped shows up in the projection,
+    and the translation round trip fails on it."""
     lang = LanguageSpec(2)
     r = random_quasi_linear(4, lang)
     honest = believability._lift_table
 
     def flipped(base, u):
-        # only the singleton universe that project reads is wrong; the
-        # max_input_size 2 table that the postulates check stays honest
         m = honest(base, u)
-        if u.max_input_size == 1:
-            one = believability._tables(u).singleton_index
-            m[one[1], one[2]] ^= True
+        one = believability._tables(u).singleton_index
+        m[one[1], one[2]] ^= True
         return m
 
     monkeypatch.setattr(believability, "_lift_table", flipped)
-    assert project(lift(r)) != r
+    want = r.matrix()
+    want[1, 2] ^= True
+    assert project(lift(r, 2)) == BelievabilityRelation.from_matrix(lang, want)
     report = verify_translation(r, 2)
     assert not report.passed
-    assert report.detail == "projection of the lift differs from the original"
+    assert report.detail == "lifted relation fails transitivity"
 
 
 @pytest.mark.parametrize("atoms", [1, 2])
@@ -227,7 +226,7 @@ def multi_relations():
         n = u.size
         out.append(MultiBelievabilityRelation.from_table(u, rng.random((n, n)) < 0.3))
         base = random_quasi_linear(9, u.lang)
-        out.append(MultiBelievabilityRelation.from_table(u, lift(base).table_over(u)))
+        out.append(lift(base, u.max_input_size))
     return out
 
 

@@ -138,7 +138,7 @@ def test_roundtrip_relation_theorem5(flags_op):
     assert report.theorem == 5
     assert report.passed, report.witness
     rel = derive_mb_from_operator(flags_op)
-    assert is_standard(rel, flags_op.universe)
+    assert is_standard(rel)
 
 
 def test_roundtrip_relation_gate(plain_op):
