@@ -477,7 +477,9 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
             w = RelationWitness(tuple(), "universally acceptable classes force an inconsistent state")
             return _single_report(p, False, c, w)
         if closed != bottom:
-            off = next(iter(set(closed) ^ set(bottom)))
+            # every universally acceptable class is in `closed`: name the
+            # smallest class of `closed` that is not one
+            off = next(m for m in closed if m not in bottom)
             w = RelationWitness(
                 (_cls(lang, off),),
                 "universally acceptable classes do not form a deductively closed theory",

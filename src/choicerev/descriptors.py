@@ -9,8 +9,8 @@ when its theory meets A.
 
 Concrete syntax:  B(p0) & !B(p1 -> p0), members of a composite separated
 by commas.  The connectives are the formula grammar's (logic.py), with
-! for negation; this module adds only the B(formula) leaf and the
-composite.
+! for negation, parsed from the same token list; this module adds only
+the B(formula) leaf and the composite.
 """
 
 from __future__ import annotations
@@ -22,9 +22,14 @@ from .logic import (
     BeliefSet,
     InputSet,
     LanguageSpec,
+    MAX_ATOMS,
     SentenceClass,
-    _Cursor,
+    _expect,
+    _expression,
+    _finish,
     _Grammar,
+    _sentence,
+    _tokens,
     class_of,
     entails,
     format_formula,
@@ -105,10 +110,14 @@ def choice_descriptor(a: InputSet) -> Molecular:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-def _bel_leaf(cur: _Cursor, ch: str) -> Union[BelAtom, None]:
-    if ch != "B":
+def _bel_leaf(g: _Grammar, tok: str, toks: list[str], text: str,
+              lang: LanguageSpec) -> Union[BelAtom, None]:
+    if tok != "B":
         return None
-    return BelAtom(cur.applied("B"))
+    _expect(toks, text, "(", "expected '(' after 'B'")
+    c = _sentence(toks, text, lang)
+    _expect(toks, text, ")", "expected ')' closing 'B('")
+    return BelAtom(c)
 
 
 def _bel_text(node: BelAtom) -> str:
@@ -116,16 +125,18 @@ def _bel_text(node: BelAtom) -> str:
     return f"B({_class_text(node.cls)})"
 
 
-_DESCRIPTOR = _Grammar("!", DescNot, DescAnd, DescOr, DescImplies, _bel_leaf, _bel_text)
+_DESCRIPTOR = _Grammar("!", DescNot, DescAnd, DescOr, DescImplies,
+                       ({},) * (MAX_ATOMS + 1), _bel_leaf, _bel_text)
 
 
 def parse_descriptor(text: str, lang: LanguageSpec) -> Descriptor:
     """Parse a composite descriptor (comma-separated molecular members)."""
-    cur = _Cursor(text, lang)
-    members = [cur.expression(_DESCRIPTOR)]
-    while cur.accept(","):
-        members.append(cur.expression(_DESCRIPTOR))
-    cur.finish()
+    toks = _tokens(text)
+    members = [_expression(toks, text, lang, _DESCRIPTOR)]
+    while toks[-1] == ",":
+        toks.pop()
+        members.append(_expression(toks, text, lang, _DESCRIPTOR))
+    _finish(toks, text)
     return frozenset(members)
 
 

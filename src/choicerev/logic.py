@@ -7,9 +7,10 @@ valuations satisfying it, packed into an int bitmask (bit v set iff
 valuation v is a model).  Two formulas are interchangeable for every
 operation in this package exactly when they have the same mask, so the
 mask itself serves as the canonical sentence-class identity.  Source
-text goes straight to that mask: one parser core (`_Cursor`) walks the
-text, and a grammar whose constructors are int operations builds the
-mask, with no formula tree and no per-valuation evaluation.
+text goes straight to that mask: one regex splits the text into one
+token list, one precedence-climbing core parses it, and a grammar whose
+constructors are int operations builds the mask, with no formula tree
+and no per-valuation evaluation.
 
 Belief sets are deductively closed theories, represented by their set of
 models (same bitmask packing).  The empty mask is the inconsistent
@@ -21,6 +22,7 @@ are all O(1) bit operations.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -152,23 +154,27 @@ class _Grammar:
     """One syntax over the shared connectives.
 
     A grammar names its negation character, its four node constructors
-    (also the node classes the renderer dispatches on), a leaf rule and a
-    leaf renderer.  The leaf rule gets the cursor, sitting on `ch`, and
-    returns a node, or None when `ch` starts no leaf.  Everything else,
-    from precedence to error messages, is `_Cursor` and `format`.  The
-    constructors may also be plain functions of the parsed children, as
-    in `_MASK`, a grammar that builds values and renders nothing.
+    (also the node classes the renderer dispatches on), its leaf table,
+    a leaf rule and a leaf renderer.  The leaf table gives, per atom
+    count, the node of each leaf token of that language.  The leaf rule
+    gets a token the table lacks, with the grammar, the token list, the
+    text and the language, and returns a node, or None when the token
+    starts no leaf.  Everything else, from precedence to error messages,
+    is `_expression` and `format`.  The constructors may also be plain
+    functions of the parsed children, as in `_MASK`, a grammar that
+    builds values and renders nothing.
     """
 
-    def __init__(self, negation, not_, and_, or_, implies, leaf, leaf_text):
-        self.negation = negation
-        self.not_, self.and_, self.or_, self.implies = not_, and_, or_, implies
-        self.leaf = leaf
-        self.leaf_text = leaf_text
-        # binding, loosest first; unary negation binds tightest
-        self._ranks = {
-            implies: (1, " -> "), or_: (2, " | "), and_: (3, " & "), not_: (4, negation)
-        }
+    def __init__(self, negation, not_, and_, or_, implies, leaves, leaf, leaf_text):
+        self.negation, self.not_ = negation, not_
+        self.leaves, self.leaf, self.leaf_text = leaves, leaf, leaf_text
+        # binary token: (its level, loosest first, the level of its right
+        # operand, constructor); -> is right-associative, so its right
+        # operand may hold another ->
+        self.binary = {"->": (1, 1, implies), "|": (2, 3, or_), "&": (3, 4, and_)}
+        # the renderer's levels are the parser's; unary negation binds tightest
+        self._ranks = {ctor: (level, f" {tok} ") for tok, (level, _, ctor) in self.binary.items()}
+        self._ranks[not_] = (4, negation)
 
     def format(self, node) -> str:
         """Render with minimal parentheses; parses back to the same tree."""
@@ -189,124 +195,92 @@ class _Grammar:
         return "(" + body + ")" if prec < parent else body
 
 
-class _Cursor:
-    """Recursive descent over: `->` (loosest, right-assoc), `|`, `&`, negation.
+# Whitespace (exactly what str.isspace accepts) separates tokens.  An atom
+# token takes ASCII digits only: str.isdigit also takes superscript and
+# Arabic-Indic digits.
+_TOKEN = re.compile(r"->|p[0-9]*|\S")
 
-    One cursor walks one text; the grammar is an argument, so a leaf can
-    parse a sub-expression of another grammar at the current offset.
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text`, last first, over a "" end-of-input sentinel.
+
+    A parser takes the next token with `pop()` and peeks at `toks[-1]`.
     """
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    toks.reverse()
+    return toks
 
-    def __init__(self, text: str, lang: LanguageSpec):
-        self.text = text
-        self.lang = lang
-        self.pos = 0
 
-    def peek(self) -> str:
-        """The next non-space character, or "" at the end; skips to it."""
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        return text[pos] if pos < len(text) else ""
+def _error(message: str, text: str, left: int) -> ParseError:
+    """The error at the token that was on top when `left` tokens, the
+    sentinel included, were left: its offset in `text`, or len(text) at
+    the sentinel."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    starts.append(len(text))
+    return ParseError(message, starts[-left])
 
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
 
-    def expect(self, ch: str, message: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(message, self.pos)
-        self.pos += 1
+def _expect(toks: list[str], text: str, tok: str, message: str) -> None:
+    if toks[-1] != tok:
+        raise _error(message, text, len(toks))
+    toks.pop()
 
-    def finish(self) -> None:
-        ch = self.peek()
-        if ch:
-            raise ParseError(f"unexpected {ch!r}", self.pos)
 
-    def expression(self, g: _Grammar):
-        left = self.disjunction(g)
-        if self.peek() == "-" and self.text.startswith("->", self.pos):
-            self.pos += 2
-            return g.implies(left, self.expression(g))
-        return left
+def _finish(toks: list[str], text: str) -> None:
+    if toks[-1]:
+        raise _error(f"unexpected {toks[-1][0]!r}", text, len(toks))
 
-    def disjunction(self, g: _Grammar):
-        node = self.conjunction(g)
-        while self.peek() == "|":
-            self.pos += 1
-            node = g.or_(node, self.conjunction(g))
-        return node
 
-    def conjunction(self, g: _Grammar):
-        node = self.unary(g)
-        while self.peek() == "&":
-            self.pos += 1
-            node = g.and_(node, self.unary(g))
-        return node
-
-    def unary(self, g: _Grammar):
-        ch = self.peek()
-        if ch == g.negation:
-            self.pos += 1
-            return g.not_(self.unary(g))
-        if ch == "(":
-            self.pos += 1
-            node = self.expression(g)
-            self.expect(")", "expected ')'")
+def _expression(toks: list[str], text: str, lang: LanguageSpec, g: _Grammar, level: int = 1):
+    """Precedence climbing: one operand, then every binary operator that
+    binds at `level` or tighter, each right operand one recursive call."""
+    tok = toks.pop()
+    node = g.leaves[lang.atom_count].get(tok)
+    if node is None:
+        if tok == "(":
+            node = _expression(toks, text, lang, g)
+            _expect(toks, text, ")", "expected ')'")
+        elif tok == g.negation:
+            node = g.not_(_expression(toks, text, lang, g, 4))
+        else:
+            node = g.leaf(g, tok, toks, text, lang)
+            if node is None:
+                message = f"unexpected {tok[0]!r}" if tok else "unexpected end of input"
+                raise _error(message, text, len(toks) + 1)
+    binary = g.binary
+    while True:
+        op = binary.get(toks[-1])
+        if op is None or op[0] < level:
             return node
-        node = g.leaf(self, ch)
-        if node is not None:
-            return node
-        if ch == "":
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError(f"unexpected {ch!r}", self.pos)
-
-    def sentence(self) -> "SentenceClass":
-        """The class of the formula at the cursor, parsed straight to its mask."""
-        return SentenceClass(self.lang, self.expression(_MASK) & self.lang.full_mask)
-
-    def applied(self, name: str) -> "SentenceClass":
-        """`name(<formula>)`, the cursor sitting on name: the formula's class."""
-        self.pos += len(name)
-        self.expect("(", f"expected '(' after {name!r}")
-        c = self.sentence()
-        self.expect(")", f"expected ')' closing {name + '('!r}")
-        return c
+        toks.pop()
+        node = op[2](node, _expression(toks, text, lang, g, op[1]))
 
 
-def _literals(top, bottom, atoms):
-    """The leaf rule for T, F and p<i>, which give top, bottom and atoms[i]."""
-
-    def leaf(cur: _Cursor, ch: str):
-        if ch == "T":
-            cur.pos += 1
-            return top
-        if ch == "F":
-            cur.pos += 1
-            return bottom
-        if ch != "p":
-            return None
-        text, start = cur.text, cur.pos
-        end = start + 1
-        # ASCII digits only: str.isdigit also takes superscript and Arabic-Indic digits
-        while end < len(text) and "0" <= text[end] <= "9":
-            end += 1
-        if end == start + 1:
-            raise ParseError("expected atom index after 'p'", start)
-        index = int(text[start + 1:end])
-        if index >= cur.lang.atom_count:
-            raise ParseError(
-                f"atom index {index} out of range for {cur.lang.atom_count} atoms", start
-            )
-        cur.pos = end
-        return atoms[index]
-
-    return leaf
+def _sentence(toks: list[str], text: str, lang: LanguageSpec) -> "SentenceClass":
+    """The class of the formula on top of `toks`, parsed straight to its mask."""
+    return SentenceClass(lang, _expression(toks, text, lang, _MASK) & lang.full_mask)
 
 
-_formula_leaf = _literals(Top(), Bottom(), tuple(map(Atom, range(MAX_ATOMS))))
+def _leaf_table(top, bottom, atoms) -> tuple[dict, ...]:
+    """Per atom count k, the leaves T, F and p0 .. p(k-1): top, bottom, atoms[i]."""
+    return tuple({"T": top, "F": bottom, **{f"p{i}": atoms[i] for i in range(k)}}
+                 for k in range(MAX_ATOMS + 1))
+
+
+def _atom_leaf(g: _Grammar, tok: str, toks: list[str], text: str, lang: LanguageSpec):
+    """An atom token the leaf table lacks: p01 is p1; a bare p, or an index
+    out of range, is an error."""
+    if tok[:1] != "p":
+        return None
+    if tok == "p":
+        raise _error("expected atom index after 'p'", text, len(toks) + 1)
+    index = int(tok[1:])
+    if index >= lang.atom_count:
+        raise _error(
+            f"atom index {index} out of range for {lang.atom_count} atoms", text, len(toks) + 1
+        )
+    return g.leaves[lang.atom_count][f"p{index}"]
 
 
 def _formula_leaf_text(node: Formula) -> str:
@@ -319,22 +293,24 @@ def _formula_leaf_text(node: Formula) -> str:
     raise TypeError(f"not a formula: {node!r}")
 
 
-_FORMULA = _Grammar("~", Not, And, Or, Implies, _formula_leaf, _formula_leaf_text)
+_FORMULA = _Grammar("~", Not, And, Or, Implies,
+                    _leaf_table(Top(), Bottom(), tuple(map(Atom, range(MAX_ATOMS)))),
+                    _atom_leaf, _formula_leaf_text)
 
 # atom i's models among all 2**MAX_ATOMS valuations; a smaller language's
 # mask is the low full_mask bits of it.  Python ints are unbounded, so ~
-# stays exact until `_Cursor.sentence` cuts the result to full_mask.
+# stays exact until `_sentence` cuts the result to full_mask.
 _ATOM_MASKS = tuple(
     sum(1 << v for v in range(1 << MAX_ATOMS) if v >> i & 1) for i in range(MAX_ATOMS)
 )
-_MASK = _Grammar("~", operator.invert, operator.and_, operator.or_,
-                 lambda a, b: ~a | b, _literals(-1, 0, _ATOM_MASKS), None)
+_MASK = _Grammar("~", operator.invert, operator.and_, operator.or_, lambda a, b: ~a | b,
+                 _leaf_table(-1, 0, _ATOM_MASKS), _atom_leaf, None)
 
 
 def parse_formula(text: str, lang: LanguageSpec) -> Formula:
-    cur = _Cursor(text, lang)
-    formula = cur.expression(_FORMULA)
-    cur.finish()
+    toks = _tokens(text)
+    formula = _expression(toks, text, lang, _FORMULA)
+    _finish(toks, text)
     return formula
 
 
@@ -408,9 +384,9 @@ def class_of(formula: Union[Formula, str], lang: LanguageSpec) -> SentenceClass:
     evaluated once per valuation.
     """
     if isinstance(formula, str):
-        cur = _Cursor(formula, lang)
-        c = cur.sentence()
-        cur.finish()
+        toks = _tokens(formula)
+        c = _sentence(toks, formula, lang)
+        _finish(toks, formula)
         return c
     mask = 0
     for v in lang.valuations():
@@ -498,7 +474,14 @@ class InputSet:
     def of(cls, lang: LanguageSpec, *items: Union[SentenceClass, Formula, str]) -> "InputSet":
         out = set()
         for it in items:
-            out.add(it if isinstance(it, SentenceClass) else class_of(it, lang))
+            if not isinstance(it, SentenceClass):
+                it = class_of(it, lang)
+            elif it.lang != lang:
+                raise LanguageError(
+                    f"class over {it.lang.atom_count} atoms in an input set over "
+                    f"{lang.atom_count} atoms"
+                )
+            out.add(it)
         return cls(lang, frozenset(out))
 
     @classmethod
@@ -536,16 +519,18 @@ class InputSet:
 def parse_input_set(text: str, lang: LanguageSpec) -> InputSet:
     """Comma-separated formulas -> InputSet. Blank text is the empty set.
 
-    One cursor walks the whole text and parses each member straight to
-    its class, so a `ParseError` position counts from the start of `text`.
+    The whole text is split into one token list, and each member is
+    parsed from it straight to its class, so a `ParseError` position
+    counts from the start of `text`.
     """
-    if not text.strip():
+    toks = _tokens(text)
+    if len(toks) == 1:
         return InputSet.empty(lang)
-    cur = _Cursor(text, lang)
-    classes = {cur.sentence()}
-    while cur.accept(","):
-        classes.add(cur.sentence())
-    cur.finish()
+    classes = {_sentence(toks, text, lang)}
+    while toks[-1] == ",":
+        toks.pop()
+        classes.add(_sentence(toks, text, lang))
+    _finish(toks, text)
     return InputSet(lang, frozenset(classes))
 
 

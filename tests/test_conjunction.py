@@ -7,7 +7,9 @@ reference reads triple conjunctions from its own n^3 table, and its
 second walks one row of conjunctions at a time, n^2 work per row, which
 still runs at n=697.  Counter dominance and union are checked against
 their n*n*k*k broadcast and an upper-triangle scan over the seed's
-sorted-tuple union index (`_reference_union_index`).
+sorted-tuple union index (`_reference_union_index`), at n=16, 17 and
+137 on the corpus and its breaking flips, and at n=697 on a derived
+relation and its flips.
 """
 
 import functools
@@ -240,6 +242,24 @@ def _break_weak_coupling(rel, u):
     raise AssertionError("no triple to break")
 
 
+def _flip_multi(rel, u, i, j):
+    m = rel.table_over(u).copy()
+    m[i, j] = not m[i, j]
+    return MultiBelievabilityRelation.from_table(u, m)
+
+
+def _breaking_flip(cells, flip, reference, seed, tries=40):
+    """The first of up to `tries` seeded candidate flips that the reference
+    says breaks the postulate, with its reference report; None if none."""
+    rng = random.Random(seed)
+    for cell in rng.sample(cells, min(tries, len(cells))):
+        broken = flip(*cell)
+        want = reference(broken)
+        if not want.holds:
+            return broken, want
+    return None
+
+
 def _models(lang, count, seed):
     rng = random.Random(seed)
     out = []
@@ -349,6 +369,70 @@ def test_counter_dominance_and_union_match_references(n):
             assert got.to_dict() == reference(rel, u).to_dict()
             verdicts[p].add(got.holds)
     assert verdicts == {CD: {True, False}, UNION: {True, False}}
+
+
+def _breaking_cells(m, u, p):
+    """Cells whose flip breaks p on a table where p holds: a cell (a, b)
+    whose antecedent holds (counter dominance); for an evaluable pair of
+    whose union only one part ranks at least as high, that part's cell
+    (union).  Both read the reference tables."""
+    t = _tables(u)
+    if p == CD:
+        cells = _reference_counter_dominance_ante(t, u.lang) & m
+        return [(int(a), int(b)) for a, b in np.argwhere(cells)]
+    ia, ib = np.triu_indices(len(t.sets))
+    flat = _reference_union_index(t)[ia, ib]
+    ok = flat >= 0
+    target = np.clip(flat, 0, None)
+    ca, cb = m[ia, target], m[ib, target]
+    one = ok & (ca != cb)
+    cells = {(int(a), int(x)) for a, x in zip(ia[one & ca], target[one & ca])}
+    cells |= {(int(b), int(x)) for b, x in zip(ib[one & cb], target[one & cb])}
+    return sorted(cells)
+
+
+CD_UNION_REFERENCES = {CD: _reference_counter_dominance, UNION: _reference_union}
+
+
+@pytest.mark.parametrize("n", [16, 17, 137])
+def test_counter_dominance_and_union_hold_breaks_under_flip(n):
+    """Each passing counter dominance or union verdict turns false under
+    a one-entry flip the reference says breaks it; every candidate cell
+    breaks, so one is found whenever there is one."""
+    u = _universe(n)
+    broken = {p: 0 for p in CD_UNION_REFERENCES}
+    for i, rel in enumerate(_corpus(u, seed=n)):
+        m = rel.table_over(u)
+        flip = functools.partial(_flip_multi, rel, u)
+        for p, reference in CD_UNION_REFERENCES.items():
+            if not _check_multi(rel, p).holds:
+                continue
+            cells = _breaking_cells(m, u, p)
+            found = _breaking_flip(cells, flip, lambda r: reference(r, u), seed=i)
+            assert (found is not None) == bool(cells), (p.value, i)
+            if found:
+                flipped, want = found
+                assert _check_multi(flipped, p).to_dict() == want.to_dict()
+                broken[p] += 1
+    assert min(broken.values()) >= 3, broken
+
+
+def test_counter_dominance_and_union_match_references_at_697():
+    """A derived relation, and for each postulate a one-entry flip that
+    breaks it."""
+    u = _universe(697)
+    model = _models(u.lang, 1, seed=697)[0]
+    rel = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
+    m = rel.table_over(u)
+    flip = functools.partial(_flip_multi, rel, u)
+    for p, reference in CD_UNION_REFERENCES.items():
+        got = _check_multi(rel, p)
+        assert got.to_dict() == reference(rel, u).to_dict(), p.value
+        assert got.holds, p.value
+        found = _breaking_flip(_breaking_cells(m, u, p), flip, lambda r: reference(r, u), 697, tries=3)
+        assert found is not None, p.value
+        flipped, want = found
+        assert _check_multi(flipped, p).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])

@@ -194,6 +194,17 @@ def test_input_set_dedup_and_parse(lang2):
     assert class_of("p0", lang2) in b
 
 
+def test_input_set_of_rejects_a_class_of_another_language(lang1, lang2):
+    """{p0 over 1 atom, p1} would have the mask_tuple (1, 12) of a
+    different 2-atom set, the one built below, and universe lookups go by
+    mask_tuple."""
+    with pytest.raises(LanguageError) as exc:
+        InputSet.of(lang2, SentenceClass(lang1, 1), "p1")
+    assert str(exc.value) == "class over 1 atoms in an input set over 2 atoms"
+    a = InputSet.of(lang2, SentenceClass(lang2, 1), "p1")
+    assert a.mask_tuple == (1, 12)
+
+
 def test_input_set_encode_roundtrip(lang2):
     a = parse_input_set("p0, p1, F", lang2)
     assert InputSet.decode(a.encode(), lang2) == a

@@ -1,5 +1,6 @@
-"""Transitivity and coupling, at both levels, against references written
-from the definitions; and a digest over every relation postulate report.
+"""Relation postulates against references written from the definitions
+(set-level weak coupling, counter dominance and union have theirs in
+test_conjunction.py); and a digest over every relation postulate report.
 
 Transitivity: for every pair (a, b) in scan order, a middle element
 that a ranks at least as high as and that ranks at least as high as b
@@ -22,6 +23,15 @@ every nonempty set standing in the relation to it.  Completeness: every
 two sets compare one way or the other.  Determination: every nonempty
 set stands in the relation to the empty set, and not back.
 
+Every other single-level postulate has a reference as well, a loop over
+the rows as lists of booleans.  Weak coupling: a class equally
+acceptable with its adjunctions of b and of d is equally acceptable
+with their joint adjunction.  Counter dominance: a logically weaker
+class is at least as acceptable.  Minimality: the classes that stand to
+every class are those some consistent theory K entails, searched over
+every K.  Maximality: only the contradiction has every class standing
+to it.  Completeness: every two classes compare.
+
 The member-equivalence metatheorem has a reference too: for each set
 and each of its members in scan order, the adjunction of the member,
 built with pairwise_conj, keeps the set's rank exactly when the member
@@ -37,7 +47,9 @@ import numpy as np
 import pytest
 
 from test_conjunction import (
+    _breaking_flip,
     _corpus,
+    _flip_multi,
     _models,
     _reference_tables,
     _reference_weak_coupling,
@@ -53,7 +65,6 @@ from choicerev.believability import (
     RelationReport,
     RelationWitness,
     _check_multi,
-    _check_single,
     check_member_equivalence,
     check_relation_postulate,
     derive_mb_from_operator,
@@ -67,6 +78,7 @@ from choicerev.synthesis import verify_roundtrip_relation, verify_translation
 TR = RelationPostulateId.TRANSITIVITY
 CP = RelationPostulateId.COUPLING
 WC = RelationPostulateId.WEAK_COUPLING
+CD = RelationPostulateId.COUNTER_DOMINANCE
 MN = RelationPostulateId.MINIMALITY
 MX = RelationPostulateId.MAXIMALITY
 CM = RelationPostulateId.COMPLETENESS
@@ -155,16 +167,113 @@ def reference_multi_coupling(rel, u):
     return RelationReport(CP, "multi", first is None, checked, skipped, first)
 
 
+def _ge(r):
+    return [[bool(row >> y & 1) for y in range(r.class_count)] for row in r.rows]
+
+
+def reference_single_weak_coupling(r):
+    """Two adjunctions that each keep a's rank keep it together: for
+    every (a, b, d) in scan order, a equally acceptable with a&b and with
+    a&d forces a equally acceptable with a&b&d."""
+    c = r.class_count
+    ge = _ge(r)
+    for a in range(c):
+        for b in range(c):
+            for d in range(c):
+                ab, ad, abd = a & b, a & d, a & b & d
+                if (ge[a][ab] and ge[ab][a] and ge[a][ad] and ge[ad][a]
+                        and not (ge[a][abd] and ge[abd][a])):
+                    w = RelationWitness(
+                        tuple(SentenceClass(r.lang, x) for x in (a, b, d)),
+                        "both single adjunctions keep rank but the joint one drops it",
+                    )
+                    return RelationReport(WC, "single", False, c ** 3, 0, w)
+    return RelationReport(WC, "single", True, c ** 3)
+
+
+def reference_single_counter_dominance(r):
+    """A logically weaker class is at least as acceptable: for every
+    (a, b) in scan order, a entailing b forces b over a."""
+    c = r.class_count
+    ge = _ge(r)
+    for a in range(c):
+        for b in range(c):
+            if a & ~b == 0 and not ge[b][a]:
+                w = RelationWitness(
+                    (SentenceClass(r.lang, a), SentenceClass(r.lang, b)),
+                    "logically weaker class is not at least as acceptable",
+                )
+                return RelationReport(CD, "single", False, c * c, 0, w)
+    return RelationReport(CD, "single", True, c * c)
+
+
+def reference_single_minimality(r):
+    """The classes that stand to every class are the classes some
+    consistent theory K entails, searched over every K.  When none is,
+    the witness is empty if those classes share no model, and else the
+    smallest class they entail together that does not stand to every
+    class."""
+    c = r.class_count
+    full = r.lang.full_mask
+    bottom = {x for x, row in enumerate(_ge(r)) if all(row)}
+    if any(bottom == {x for x in range(c) if k & ~x == 0} for k in range(1, c)):
+        return RelationReport(MN, "single", True, c)
+    shared = functools.reduce(lambda k, x: k & x, bottom, full)
+    if shared == 0:
+        w = RelationWitness((), "universally acceptable classes force an inconsistent state")
+    else:
+        off = min(x for x in range(c) if shared & ~x == 0 and x not in bottom)
+        w = RelationWitness(
+            (SentenceClass(r.lang, off),),
+            "universally acceptable classes do not form a deductively closed theory",
+        )
+    return RelationReport(MN, "single", False, c, 0, w)
+
+
+def reference_single_maximality(r):
+    """Only the contradiction may have every class standing to it; the
+    witness is the smallest other class that does."""
+    c = r.class_count
+    ge = _ge(r)
+    for b in range(1, c):
+        if all(ge[a][b] for a in range(c)):
+            w = RelationWitness(
+                (SentenceClass(r.lang, b),), "a satisfiable class sits at the very top"
+            )
+            return RelationReport(MX, "single", False, c, 0, w)
+    return RelationReport(MX, "single", True, c)
+
+
+def reference_single_completeness(r):
+    """Every two classes compare one way or the other; the witness is the
+    first incomparable pair in scan order."""
+    c = r.class_count
+    ge = _ge(r)
+    for a in range(c):
+        for b in range(c):
+            if not ge[a][b] and not ge[b][a]:
+                w = RelationWitness(
+                    (SentenceClass(r.lang, a), SentenceClass(r.lang, b)), "incomparable pair"
+                )
+                return RelationReport(CM, "single", False, c * c, 0, w)
+    return RelationReport(CM, "single", True, c * c)
+
+
+SINGLE_REFERENCES = {
+    TR: reference_single_transitivity,
+    CP: reference_single_coupling,
+    WC: reference_single_weak_coupling,
+    CD: reference_single_counter_dominance,
+    MN: reference_single_minimality,
+    MX: reference_single_maximality,
+    CM: reference_single_completeness,
+}
+
+
 def _flip_single(r, i, j):
     rows = list(r.rows)
     rows[i] ^= 1 << j
     return BelievabilityRelation(r.lang, tuple(rows))
-
-
-def _flip_multi(rel, u, i, j):
-    m = rel.table_over(u).copy()
-    m[i, j] = not m[i, j]
-    return MultiBelievabilityRelation.from_table(u, m)
 
 
 def _transitivity_cells(m):
@@ -188,18 +297,6 @@ def _coupling_cells(m, conj):
     return out
 
 
-def _breaking_flip(cells, flip, reference, seed, tries=40):
-    """The first of up to `tries` seeded candidate flips that the reference
-    says breaks the postulate, with its reference report; None if none."""
-    rng = random.Random(seed)
-    for cell in rng.sample(cells, min(tries, len(cells))):
-        broken = flip(*cell)
-        want = reference(broken)
-        if not want.holds:
-            return broken, want
-    return None
-
-
 def single_relations():
     """Quasi-linear draws, arbitrary rows and one-entry flips of the draws
     at 1 and 2 atoms."""
@@ -216,37 +313,91 @@ def single_relations():
     return out
 
 
+def _forced_bottom_relations(count=60):
+    """2-atom random rows, about a third of them all True: minimality
+    fails with several jointly entailed classes missing, so the witness
+    must be the smallest of them."""
+    rng = random.Random(19)
+    lang = LanguageSpec(2)
+    c = lang.full_mask + 1
+    full = (1 << c) - 1
+    out = []
+    for _ in range(count):
+        rows = [full if rng.random() < 0.3 else rng.getrandbits(c) & ~(1 << rng.randrange(c))
+                for _ in range(c)]
+        out.append(BelievabilityRelation(lang, tuple(rows)))
+    return out
+
+
 def test_single_checkers_match_references():
-    verdicts = {TR: set(), CP: set()}
-    for r in single_relations():
-        for p, reference in ((TR, reference_single_transitivity), (CP, reference_single_coupling)):
-            got = _check_single(r, p)
+    verdicts = {p: set() for p in SINGLE_REFERENCES}
+    for r in single_relations() + _forced_bottom_relations():
+        for p, reference in SINGLE_REFERENCES.items():
+            got = check_relation_postulate(r, p)
             assert got == reference(r), (p.value, r.rows)
             verdicts[p].add(got.holds)
-    assert verdicts == {TR: {True, False}, CP: {True, False}}
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def _single_breaking_cells(m, p):
+    """Cells whose flip breaks p on a matrix where p holds: for a ranking
+    a with a&b and a&d, the cell (a, a&b&d) when that is a fourth class
+    (weak coupling); a cell (b, a) with a entailing b (counter
+    dominance); a cell of a row that stands to every class, unless the
+    rest of those rows is the tautology's alone (minimality); the one
+    missing cell of a column at a satisfiable class (maximality); a
+    one-way or reflexive comparison (completeness)."""
+    c = len(m)
+    if p == WC:
+        eq = m & m.T
+        out = set()
+        for a in range(c):
+            for b in range(c):
+                for d in range(c):
+                    t = a & b & d
+                    if eq[a, a & b] and eq[a, a & d] and t not in (a, a & b, a & d):
+                        out.add((a, t))
+        return sorted(out)
+    if p == CD:
+        masks = np.arange(c)
+        cells = ((masks[None, :] & ~masks[:, None]) == 0) & m
+    elif p == MN:
+        bottom = m.all(axis=1)
+        rest_is_top = [set(np.flatnonzero(bottom)) - {x} == {c - 1} for x in range(c)]
+        cells = (bottom & ~np.array(rest_is_top))[:, None] & m
+    elif p == MX:
+        top = ((~m).sum(axis=0) == 1) & (np.arange(c) != 0)
+        cells = ~m & top[None, :]
+    else:
+        cells = (m & ~m.T) | (np.eye(c, dtype=bool) & m)
+    return [(int(a), int(b)) for a, b in np.argwhere(cells)]
 
 
 def test_single_holds_breaks_under_flip():
     """A passing verdict on a draw turns false under a one-entry flip the
     reference says breaks the postulate.  A one-atom draw may have no two
-    equally acceptable classes whose conjunction is a third class."""
-    broken_count = {TR: 0, CP: 0}
+    equally acceptable classes whose conjunction is a third class.  Every
+    candidate cell of `_single_breaking_cells` breaks, so one is found
+    whenever there is one."""
+    broken_count = {p: 0 for p in SINGLE_REFERENCES}
     for atoms in (1, 2):
         lang = LanguageSpec(atoms)
         for seed in range(6):
             r = random_quasi_linear(seed, lang)
             m = r.matrix()
-            cases = (
-                (TR, reference_single_transitivity, _transitivity_cells(m)),
-                (CP, reference_single_coupling, _coupling_cells(m, lambda a, b: a & b)),
-            )
-            for p, reference, cells in cases:
-                assert _check_single(r, p).holds
+            for p, reference in SINGLE_REFERENCES.items():
+                if p == TR:
+                    cells = _transitivity_cells(m)
+                elif p == CP:
+                    cells = _coupling_cells(m, lambda a, b: a & b)
+                else:
+                    cells = _single_breaking_cells(m, p)
+                assert check_relation_postulate(r, p).holds
                 found = _breaking_flip(cells, functools.partial(_flip_single, r), reference, seed)
                 assert (found is not None) == bool(cells), (p.value, seed)
                 if found:
                     broken, want = found
-                    assert _check_single(broken, p) == want
+                    assert check_relation_postulate(broken, p) == want
                     broken_count[p] += 1
     assert min(broken_count.values()) >= 5, broken_count
 

@@ -2,11 +2,14 @@
 
 The references below are the two separate recursive-descent parsers and
 the two renderers the package had before formulas and descriptors shared
-one grammar core.  Every public parse must give the reference's tree, or
-raise the reference's error with the same message and position, and
-every render must give the reference's text.  Text parsed straight to a
-sentence class must give the class of the reference's tree, evaluated
-valuation by valuation.
+one grammar core.  That core now parses one token list by precedence
+climbing, while the references walk the text character by character, so
+the texts include Unicode whitespace, multi-digit atoms and glued
+tokens.  Every public parse must give the reference's tree, or raise the
+reference's error with the same message and position, and every render
+must give the reference's text.  Text parsed straight to a sentence
+class must give the class of the reference's tree, evaluated valuation
+by valuation.
 """
 
 import pytest
@@ -314,11 +317,14 @@ def _outcome(parse, text, lang):
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
-# the grammar's alphabet plus one foreign character
-_ALPHABET = "p0123456789~!&|->()TFB, x"
-# whole tokens, so that most strings get past the first few characters
+# the grammar's alphabet, Unicode whitespace (tab, a separator control,
+# no-break and em spaces) and one foreign character
+_ALPHABET = "p0123456789~!&|->()TFB, \t\x1c\xa0\u2003x"
+# whole tokens, so that most strings get past the first few characters,
+# plus multi-digit atoms and glued or split tokens
 _TOKENS = ("p0", "p1", "p2", "p", "~", "!", "&", "|", "->", "-", ">", "(", ")",
-           "T", "F", "B(", "B", ",", " ", "x")
+           "T", "F", "B(", "B", ",", " ", "x", "\t", "\x1c", "\xa0", "\u2003",
+           "p01", "p10", "p0p1", "TF", "- >")
 
 
 
@@ -391,7 +397,7 @@ def test_text_classes_match_evaluated_trees(text, lang):
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(texts, st.lists(texts, min_size=2, max_size=3).map(",".join)), langs)
 def test_input_sets_match_member_references(text, lang):
-    """One cursor over the whole input against one reference parse per member."""
+    """One token list over the whole input against one reference parse per member."""
     got = _outcome(parse_input_set, text, lang)
     if not isinstance(got, tuple):
         got = got.classes
@@ -422,17 +428,23 @@ def test_bench_pool_classes_match_model_masks(workloads, seed):
         (parse_formula, "p0 & p7", "atom index 7 out of range for 2 atoms", 5),
         (parse_formula, "!p0", "unexpected '!'", 0),
         (parse_formula, "p0 - p1", "unexpected '-'", 3),
+        (parse_formula, "p0p1", "unexpected 'p'", 2),
+        (parse_formula, "TF", "unexpected 'F'", 1),
+        (parse_formula, "p0 - > p1", "unexpected '-'", 3),
         (parse_descriptor, "~B(p0)", "unexpected '~'", 0),
         (parse_descriptor, "B (p0) & B", "expected '(' after 'B'", 10),
         (parse_descriptor, "B(p0 & !p1)", "unexpected '!'", 7),
         (parse_descriptor, "B(p0 p1)", "expected ')' closing 'B('", 5),
         (parse_descriptor, "B(p0),", "unexpected end of input", 6),
         (parse_descriptor, "B(p0), p0", "unexpected 'p'", 7),
+        (parse_descriptor, "B(p0)p1", "unexpected 'p'", 5),
         (parse_input_set, "p0 ,p9", "atom index 9 out of range for 2 atoms", 4),
         (parse_input_set, "p0, p1 &", "unexpected end of input", 8),
         (parse_input_set, " , p0", "unexpected ','", 1),
         (parse_input_set, "p0 &, p1", "unexpected ','", 4),
         (parse_input_set, "p0, p1 p0", "unexpected 'p'", 7),
+        (parse_input_set, "p0,\tp1 &\x1c", "unexpected end of input", 9),
+        (parse_input_set, "p10", "atom index 10 out of range for 2 atoms", 0),
     ],
 )
 def test_error_positions(lang2, parse, text, message, position):
@@ -444,6 +456,7 @@ def test_error_positions(lang2, parse, text, message, position):
 
 def test_association(lang2):
     p0, p1 = Atom(0), Atom(1)
+    assert parse_formula("p01 & p1", lang2) == And(p1, p1)
     assert parse_formula("p0 -> p1 -> p0", lang2) == Implies(p0, Implies(p1, p0))
     assert parse_formula("p0 | p1 | p0", lang2) == Or(Or(p0, p1), p0)
     assert parse_formula("p0 & p1 & p0", lang2) == And(And(p0, p1), p0)
