@@ -337,7 +337,7 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
     quotient, computed once.
     """
     k = op._kernel()
-    reach = graphs.reachability(k.ge) | np.eye(len(k.uniq), dtype=bool)
+    reach = k.reach | np.eye(len(k.uniq), dtype=bool)
     m = (~k.diag)[None, :] | (k.diag[:, None] & reach[k.inv[:, None], k.inv[None, :]])
     return MultiBelievabilityRelation.from_table(op.universe, m)
 

@@ -30,8 +30,9 @@ def _depth_first(rows: Rows, n: int) -> Iterator[tuple[int, bool]]:
     unvisited successor.
 
     Yields (node, False) when a node is discovered and (node, True) when it
-    finishes.  `strongly_connected_components` and `first_component` share
-    this order.  A row is read only while its node is on top of the path.
+    finishes.  This is the search Tarjan's algorithm makes, so its order
+    fixes `first_component`'s.  A row is read only while its node is on
+    top of the path.
     """
     unvisited = (1 << n) - 1
     path: list[int] = []
@@ -46,68 +47,21 @@ def _depth_first(rows: Rows, n: int) -> Iterator[tuple[int, bool]]:
             yield path.pop(), True
 
 
-def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of a dense digraph, in the order
-    Tarjan's algorithm outputs them; adj[i, j] truthy means i -> j.
-
-    Output order is a contract that strong-reciprocity witnesses rely on.
-    The depth-first search starts from the lowest unvisited node and
-    scans successors in increasing id, so components come out in reverse
-    topological order and nodes inside a component keep discovery order.
-    A component comes out when its first-discovered member finishes.
-
-    Cost: three passes over int bitset rows, with no numpy call per node.
-    `_depth_first` gives the discovery and finish orders.  Kosaraju's pass
-    over the transposed rows takes the nodes in decreasing finish time and
-    peels off, from each one not yet taken, the nodes still left that
-    reach it: its component.  The node a component is peeled from is the
-    member that finishes last, its first-discovered one, so Kosaraju's
-    components come out in the reverse of Tarjan's order.  A last pass
-    over the discovery order lists each component's members in that order.
-    Each pass does O(n/64) word operations per node, O(n^2/64) in all.
-    """
-    a = np.ascontiguousarray(adj, dtype=bool)
-    n = a.shape[0]
-    found: list[int] = []
-    done: list[int] = []
-    for node, finished in _depth_first(bitset_rows(a), n):
-        (done if finished else found).append(node)
-    back = bitset_rows(a.T)
-    label = [0] * n
-    left = (1 << n) - 1
-    count = 0
-    for root in reversed(done):
-        if not left >> root & 1:
-            continue
-        todo = 1 << root
-        left ^= todo
-        while todo:
-            node = (todo & -todo).bit_length() - 1
-            label[node] = count
-            new = back[node] & left
-            left ^= new
-            todo ^= 1 << node | new
-        count += 1
-    comps: list[list[int]] = [[] for _ in range(count)]
-    for node in found:
-        comps[label[node]].append(node)
-    return comps[::-1]
-
-
 def first_component(rows: Rows, comp_of: list[int]) -> Iterator[int]:
-    """The nodes of the first component that `strongly_connected_components`
-    outputs among those comp_of names, in the same order; none when
+    """The nodes of the first strongly connected component among those
+    comp_of names in Tarjan's output order, in discovery order; none when
     comp_of names none.
 
+    Tarjan's search is `_depth_first`'s, so components come out in reverse
+    topological order; strong-reciprocity witnesses rely on that order.
     rows are the digraph's bitset rows.  comp_of[v] >= 0 must be the same
     id for exactly the nodes of v's strongly connected component, and -1
     marks nodes whose component is not wanted.  With the components known,
     no low-links are needed: a component comes out when its
-    first-discovered member finishes, and its nodes are its members in
-    discovery order.  So one depth-first search, stopped there, gives it.
-    When comp_of names one component, that one is first, and each of its
-    nodes is yielded as soon as it is discovered: a caller that stops
-    reading stops the search.
+    first-discovered member finishes.  So one depth-first search, stopped
+    there, gives it.  When comp_of names one component, that one is first,
+    and each of its nodes is yielded as soon as it is discovered: a caller
+    that stops reading stops the search.
     """
     walk = _depth_first(rows, len(comp_of))
     if len(set(comp_of) - {-1}) == 1:

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -507,8 +508,10 @@ class _OpKernel:
     is kept; diag[a] says that A_a meets its own outcome.  ge[i, j], the
     outcome quotient, says that some input with outcome i meets outcome j:
     the OR of M's rows over group i, one `graphs.bool_product` of the g*n
-    group indicator (group[inv[a], a]) with M.  Reciprocity, strong
-    reciprocity, model synthesis and relation derivation read it.  A
+    group indicator (group[inv[a], a]) with M.  Reciprocity reads it.
+    reach is its closure, `graphs.reachability(ge)`, built when first read:
+    strong reciprocity reads the quotient's components off it, model
+    synthesis its chain order and relation derivation its chains.  A
     failing strong-reciprocity check also reads the input graph's
     components off the quotient and walks it by bitset rows that are
     built from M only for the inputs a walk expands (`_InputRows`), so no
@@ -528,8 +531,12 @@ class _OpKernel:
         self.ge = graphs.bool_product(group, self.M)
         kmask = np.int64(op.K.mask)
         self.eq_k = self.out == kmask
-        self.meets_k = (((kmask & ~t.member) == 0) & t.valid).any(axis=1)
+        self.meets_k = t.meets(np.array([kmask]))[:, 0]
         self.reports: dict[PostulateId, PostulateReport] = {}
+
+    @functools.cached_property
+    def reach(self) -> np.ndarray:
+        return graphs.reachability(self.ge)
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +621,10 @@ def _first_true(viol: np.ndarray) -> tuple[int, ...]:
 
 def _check_closure(op: ChoiceOperator) -> PostulateReport:
     # outcomes are belief sets by construction (model sets are closed);
-    # verify language agreement as the honest structural remnant, once per
-    # distinct output object: tables share a few objects among n entries
+    # verify language agreement as the honest structural remnant; count
+    # tests identity before ==, and tables share a few language objects
     n = len(op.outputs)
-    distinct = dict(zip(map(id, op.outputs), op.outputs)).values()
-    if all(o.lang == op.lang for o in distinct):
+    if list(map(attrgetter("lang"), op.outputs)).count(op.lang) == n:
         return PostulateReport(PostulateId.CLOSURE, True, n)
     i, o = next((i, o) for i, o in enumerate(op.outputs) if o.lang != op.lang)
     w = Witness((_tables(op.universe).sets[i],), (o,), "outcome over a different language")
@@ -777,15 +783,17 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # i -> j there means some input with outcome i meets the outcome of,
     # so reaches, every input with outcome j; a quotient cycle through
     # distinct groups therefore closes a loop of inputs, and any input loop
-    # projects onto a closed walk through its groups.  Self-loops (inputs
-    # meeting their own group's outcome) never join a second node to a
-    # component, so the diagonal needs no clearing.  The quotient has at
-    # most 2^(2^atoms) nodes.
-    mixed = [comp for comp in graphs.strongly_connected_components(k.ge) if len(comp) > 1]
-    if not mixed:
+    # projects onto a closed walk through its groups.  Groups i and j share
+    # a component iff each reaches the other in the quotient's closure, so
+    # a group is in a mixed component iff its row of that mutual relation
+    # has a second entry, and argmax labels it by the component's smallest
+    # group.  The quotient has at most 2^(2^atoms) nodes.
+    mutual = k.reach & k.reach.T
+    mixed = mutual.sum(axis=1) > 1
+    if not mixed.any():
         return PostulateReport(PostulateId.STRONG_RECIPROCITY, True, n * n)
     # The witness is the loop through the first mixed component of the
-    # input graph (A_a -> A_b iff M[a, inv[b]]) in the SCC's output order,
+    # input graph (A_a -> A_b iff M[a, inv[b]]) in Tarjan's output order,
     # not any loop the quotient shows.  The quotient gives the input
     # components: A_a is on a cycle iff M[a, j] for a group j in the
     # quotient component Q of inv[a], the inputs on a cycle in one Q form
@@ -795,8 +803,7 @@ def _check_strong_reciprocity(op: ChoiceOperator) -> PostulateReport:
     # component, x is the first input on a cycle that the search discovers
     # and y the first one after it in another group, so the search stops
     # at y; with more, it stops when the first one's first member finishes.
-    label = {j: i for i, comp in enumerate(mixed) for j in comp}
-    qid = np.array([label.get(j, -1) for j in range(len(k.uniq))])
+    qid = np.where(mixed, mutual.argmax(axis=1), -1)
     mine = qid[k.inv]
     on_cycle = (k.M & (qid == mine[:, None])).any(axis=1)
     comp_of = np.where(on_cycle & (mine >= 0), mine, -1).tolist()
@@ -882,6 +889,9 @@ def passes(op: ChoiceOperator, ps: Iterable[PostulateId]) -> bool:
 def witness_violates(op: ChoiceOperator, p: PostulateId, w: Witness) -> bool:
     """Re-evaluate a reported witness against the defining formula."""
     k = op.K
+    if p == PostulateId.CLOSURE:
+        (a,) = w.inputs
+        return op.outcome(a).lang != op.lang
     if p == PostulateId.RELATIVE_SUCCESS:
         (a,) = w.inputs
         out = op.outcome(a)

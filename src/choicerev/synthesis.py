@@ -84,7 +84,7 @@ def synthesize_model(op: ChoiceOperator) -> RelationalModel:
             raise SynthesisError(f"postulate violation: {p.value}", reports)
     k = op._kernel()
     g = len(k.uniq)
-    chain = graphs.reachability(k.ge)
+    chain = k.reach
     if not chain.diagonal().all():
         raise SynthesisError("chain relation not reflexive on some outcome")
     anti = chain & chain.T & ~np.eye(g, dtype=bool)
@@ -661,19 +661,20 @@ def check_sentential_postulates(
         SententialPostulateId.EXTENSIONALITY, True, c
     )
 
-    mixed = next(
-        (
-            (comp[0], node)
-            for comp in graphs.strongly_connected_components(member)
-            for node in comp[1:]
-            if out[node] != out[comp[0]]
-        ),
-        None,
-    )
+    # x and y share a component iff each reaches the other; a component
+    # whose outcomes differ is labelled by its smallest member, and the
+    # loop runs through the first one in Tarjan's output order, from its
+    # first-discovered member x to the first one after it, y, with another
+    # outcome
+    reach = graphs.reachability(member)
+    mutual = reach & reach.T
+    differs = (mutual & (out[:, None] != out[None, :])).any(axis=1)
     w = None
-    if mixed is not None:
-        x, y = mixed
+    if differs.any():
         rows = graphs.bitset_rows(member)
+        members = graphs.first_component(rows, np.where(differs, mutual.argmax(axis=1), -1).tolist())
+        x = next(members)
+        y = next(v for v in members if out[v] != out[x])
         # the BFS path there, then the BFS path back
         cycle = graphs.shortest_path(rows, x, y)[:-1] + graphs.shortest_path(rows, y, x)[:-1]
         w = SententialWitness(

@@ -294,6 +294,9 @@ def test_check_witness_revalidates(tmp_path, capsys):
 # version bump changes both
 CHECK_697_SHA256 = "bbac9bcffd9c280057b419cfca8f341aa7c7e88fb46d5958a7f4b168573252a8"
 FOOTNOTE7_SHA256 = "a08b9f212f0a23fd0a034f5e7f9dd66dd1350bc20f1880773f36dcc38c048c1f"
+# the seed-1 random n=257 operator (3 atoms): about 155 outcome groups, the
+# largest quotient a failing strong-reciprocity check reads
+CHECK_257_SHA256 = "8a5e3f49a37ef1bf93dbb5a279beafe22b26db963014b59edfe93a480e17e146"
 
 
 def test_json_output_pinned(tmp_path, capsys):
@@ -309,3 +312,15 @@ def test_json_output_pinned(tmp_path, capsys):
     assert main(["demo", "footnote7", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FOOTNOTE7_SHA256
+
+
+def test_json_output_pinned_at_257(tmp_path, capsys):
+    """`check` on the seed-1 random n=257 operator prints the same bytes
+    as before: every verdict and the strong-reciprocity loop."""
+    op = tmp_path / "op3.json"
+    assert main(["gen", "operator", "--atoms", "3", "--max-input-size", "1",
+                 "--seed", "1", "--out", str(op)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--operator", str(op), "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_257_SHA256

@@ -1,4 +1,4 @@
-"""Dense digraph helpers: SCC, closure, paths, stable toposort."""
+"""Dense digraph helpers: closure, components, paths, stable toposort."""
 
 import itertools
 from collections import deque
@@ -12,7 +12,6 @@ from choicerev.graphs import (
     reachability,
     shortest_path,
     stable_topological_order,
-    strongly_connected_components,
 )
 
 
@@ -94,22 +93,6 @@ def digraphs(draw):
     return a
 
 
-@settings(max_examples=300, deadline=None)
-@given(digraphs())
-def test_scc_matches_reference_including_order(a):
-    assert strongly_connected_components(a) == _reference_scc(a)
-
-
-@settings(max_examples=100, deadline=None)
-@given(digraphs())
-def test_scc_independent_of_memory_layout(a):
-    want = strongly_connected_components(a)
-    assert strongly_connected_components(np.asfortranarray(a)) == want
-    # a column gather, as a caller building an input graph would make one
-    perm = np.arange(a.shape[0])
-    assert strongly_connected_components(a[:, perm]) == want
-
-
 @settings(max_examples=200, deadline=None)
 @given(digraphs(), st.data())
 def test_first_component_matches_reference_order(a, data):
@@ -166,36 +149,50 @@ def quotient_sized_digraphs(draw):
     return rng.random((n, n)) < density
 
 
+def _closure_components(a):
+    """The components of two or more nodes as the package reads them off
+    the closure: v is in one iff its row of reach & reach.T has a second
+    entry, and argmax labels it by the component's smallest node."""
+    if not len(a):
+        return []
+    reach = reachability(a)
+    mutual = reach & reach.T
+    label = np.where(mutual.sum(axis=1) > 1, mutual.argmax(axis=1), -1)
+    comps = {}
+    for v, c in enumerate(label.tolist()):
+        if c >= 0:
+            comps.setdefault(c, []).append(v)
+    assert all(c == nodes[0] for c, nodes in comps.items())
+    return sorted(comps.values())
+
+
+def _multi_node_components(a):
+    return sorted(sorted(c) for c in _reference_scc(a) if len(c) > 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_closure_components_match_reference(a):
+    assert _closure_components(a) == _multi_node_components(a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(quotient_sized_digraphs())
-def test_scc_matches_reference_on_quotient_sized_digraphs(a):
-    assert strongly_connected_components(a) == _reference_scc(a)
+def test_closure_components_match_reference_on_quotient_sized_digraphs(a):
+    assert _closure_components(a) == _multi_node_components(a)
 
 
-def test_scc_word_boundaries_and_extremes():
-    for n in (0, 1, 63, 64, 65, 127, 128, 129):
+def test_closure_components_at_word_boundaries_and_extremes():
+    for n in (0, 1, 2, 63, 64, 65, 127, 128, 129):
         empty = np.zeros((n, n), dtype=bool)
-        assert strongly_connected_components(empty) == [[i] for i in range(n)]
+        assert _closure_components(empty) == []
         full = np.ones((n, n), dtype=np.int8)
-        assert strongly_connected_components(full) == ([list(range(n))] if n else [])
+        assert _closure_components(full) == ([list(range(n))] if n > 1 else [])
         # one cycle closed across every word boundary: n-1 -> 0
         ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
-        assert strongly_connected_components(ring) == _reference_scc(ring)
-
-
-def test_scc_basic():
-    # 0 -> 1 -> 2 -> 0 is one component, 3 hangs off it
-    a = adj_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    comps = strongly_connected_components(a)
-    assert sorted(map(sorted, comps)) == [[0, 1, 2], [3]]
-    # reverse topological: [3] comes before the cycle
-    assert comps[0] == [3]
-
-
-def test_scc_singletons():
-    a = adj_from_edges(3, [(0, 1), (1, 2)])
-    comps = strongly_connected_components(a)
-    assert [sorted(c) for c in comps] == [[2], [1], [0]]
+        assert _closure_components(ring) == _multi_node_components(ring)
+        # self-loops alone join no two nodes
+        assert _closure_components(np.eye(n, dtype=bool)) == []
 
 
 @given(st.integers(0, 2 ** 16 - 1))

@@ -32,7 +32,6 @@ from test_conjunction import _reference_union_index, _universe
 from test_graphs import _reference_scc, _reference_shortest_path
 from test_logic import set_equiv
 
-from choicerev.graphs import strongly_connected_components
 from choicerev.logic import BeliefSet, InputSet, LanguageSpec, SentenceClass
 from choicerev.models import ModelFlags, generate_model
 from choicerev.operators import (
@@ -60,6 +59,12 @@ def _reference_meets(op):
     m = t.member[:, None, :]
     v = t.valid[:, None, :]
     return (((x & ~m) == 0) & v).any(axis=2)
+
+
+def _reference_meets_k(op):
+    """meets_k[a]: some member of A_a follows from K, by the per-slot formula."""
+    t = _tables(op.universe)
+    return (((np.int64(op.K.mask) & ~t.member) == 0) & t.valid).any(axis=1)
 
 
 def _loop_meets(op):
@@ -181,6 +186,13 @@ def test_meets_matches_broadcast_and_loop(n):
         meets = _kernel_meets(op)
         assert np.array_equal(meets, _reference_meets(op))
         assert np.array_equal(meets, _loop_meets(op))
+        _assert_meets_k(op)
+
+
+def _assert_meets_k(op):
+    meets_k = op._kernel().meets_k
+    assert np.array_equal(meets_k, _reference_meets_k(op))
+    assert meets_k.tolist() == [theory_meets(a, op.K) for a in _tables(op.universe).sets]
 
 
 def test_meets_matches_broadcast_and_loop_at_697():
@@ -188,6 +200,8 @@ def test_meets_matches_broadcast_and_loop_at_697():
     meets = _kernel_meets(op)
     assert np.array_equal(meets, _reference_meets(op))
     assert np.array_equal(meets, _loop_meets(op))
+    for op in _operators(697):
+        _assert_meets_k(op)
 
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])
@@ -295,7 +309,7 @@ def _two_mixed_components(u):
 
 
 def _mixed_components(op):
-    return sum(len(c) > 1 for c in strongly_connected_components(op._kernel().ge))
+    return sum(len(c) > 1 for c in _reference_scc(op._kernel().ge))
 
 
 @pytest.mark.parametrize("n", [16, 17, 137])
@@ -689,12 +703,18 @@ def _reference_closure(op):
 def test_closure_flags_foreign_language_output(n):
     u = _universe(n)
     sets = _tables(u).sets
+    # an equal but distinct LanguageSpec object is the same language
+    twin = LanguageSpec(u.lang.atom_count)
     for op in _operators(n):
         assert _CHECKERS[PostulateId.CLOSURE](op) == _reference_closure(op)
+        outputs = [BeliefSet(twin, o.mask) if i % 2 else o for i, o in enumerate(op.outputs)]
+        same = ChoiceOperator(u, op.K, tuple(outputs))
+        assert outputs[1].lang is not u.lang
+        assert _CHECKERS[PostulateId.CLOSURE](same) == _reference_closure(same)
+        assert _reference_closure(same).holds
         # two foreign entries holding one object, and the first in scan
         # order behind an entry that only shares its mask
         foreign = BeliefSet(LanguageSpec(u.lang.atom_count + 1), op.outputs[3].mask)
-        outputs = list(op.outputs)
         outputs[n - 1] = outputs[5] = foreign
         bad = ChoiceOperator(u, op.K, tuple(outputs))
         report = _CHECKERS[PostulateId.CLOSURE](bad)
@@ -702,3 +722,5 @@ def test_closure_flags_foreign_language_output(n):
         assert not report.holds and report.checked == n
         assert report.witness.inputs == (sets[5],)
         assert report.witness.outcomes[0] is foreign
+        assert witness_violates(bad, PostulateId.CLOSURE, report.witness)
+        assert not witness_violates(same, PostulateId.CLOSURE, report.witness)

@@ -158,6 +158,21 @@ def test_specific_failures_with_witnesses(u2, lang2):
     assert witness_violates(op2, PostulateId.CONFIRMATION, r4.witness)
 
 
+def test_closure_witness_rechecks(lang1):
+    """A one-atom table with one outcome over two atoms fails closure, and
+    its witness re-checks against that table but not against a clean one."""
+    u = UniverseSpec(lang1, 1)
+    k = BeliefSet.trivial(lang1)
+    clean = ChoiceOperator.from_function(u, k, lambda a: k)
+    foreign = BeliefSet.trivial(LanguageSpec(2))
+    op = ChoiceOperator(u, k, (k, foreign) + clean.outputs[2:])
+    r = check_postulate(op, PostulateId.CLOSURE)
+    assert not r.holds
+    assert r.witness.outcomes == (foreign,)
+    assert witness_violates(op, PostulateId.CLOSURE, r.witness)
+    assert not witness_violates(clean, PostulateId.CLOSURE, r.witness)
+
+
 def test_random_operator_deterministic(u1):
     assert random_operator(9, u1) == random_operator(9, u1)
     assert random_operator(9, u1) != random_operator(10, u1)
