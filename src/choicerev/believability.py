@@ -15,9 +15,9 @@ live here.
 The translations and the artifact writer are table operations: a single
 relation's rows unpack to a c*c bool matrix, the lift's table over a
 universe is two slot gathers from it, a projection reads the singleton
-rows and columns of a set-level table, and an artifact walks a table's
-rows against encodings kept once per language or universe as shared
-tuples.  None of them makes a point query per pair.
+rows and columns of a set-level table, and an artifact or its JSON text
+walks a table's rows against encodings, or their JSON strings, kept once
+per language or universe.  None of them makes a point query per pair.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -1007,8 +1007,11 @@ def check_equivalence_preserves_outcome(op: ChoiceOperator) -> MetatheoremReport
 def save_relation(
     rel: Union[BelievabilityRelation, MultiBelievabilityRelation], path: str
 ) -> None:
+    """Write the bytes json.dump(relation_to_json(rel), fh, sort_keys=True,
+    indent=2) and a newline would, one row of pairs at a time (see
+    relation_text)."""
     with open(path, "w") as fh:
-        json.dump(relation_to_json(rel), fh, sort_keys=True, indent=2)
+        fh.writelines(relation_text(rel, indented=True))
         fh.write("\n")
 
 
@@ -1026,6 +1029,71 @@ def _set_codes(u: UniverseSpec) -> tuple:
     return tuple(tuple(codes[m] for m in s.mask_tuple) for s in _tables(u).sets)
 
 
+def _artifact_parts(
+    rel: Union[BelievabilityRelation, MultiBelievabilityRelation]
+) -> tuple[dict, Union[LanguageSpec, UniverseSpec], np.ndarray]:
+    """The artifact's keys other than "pairs", the language or universe
+    whose codes label the table's rows and columns, and the table."""
+    if isinstance(rel, BelievabilityRelation):
+        return {"atoms": rel.lang.atom_count, "kind": "single"}, rel.lang, rel.matrix()
+    u = rel.universe
+    head = {"atoms": u.lang.atom_count, "kind": "multi",
+            "max_input_size": u.max_input_size}
+    return head, u, rel.table_over(u)
+
+
+def _codes(space: Union[LanguageSpec, UniverseSpec]) -> tuple:
+    return _class_codes(space) if isinstance(space, LanguageSpec) else _set_codes(space)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_text(space: Union[LanguageSpec, UniverseSpec], indented: bool) -> tuple:
+    """The JSON text of every code of the language's classes or the
+    universe's sets: compact, or indented as it stands inside a pair of
+    an artifact written with indent=2."""
+    if indented:
+        return tuple(json.dumps(c, indent=2).replace("\n", "\n      ")
+                     for c in _codes(space))
+    return tuple(json.dumps(c, separators=(",", ":")) for c in _codes(space))
+
+
+def relation_text(
+    rel: Union[BelievabilityRelation, MultiBelievabilityRelation],
+    indented: bool = False,
+) -> Iterator[str]:
+    """The text json.dumps(relation_to_json(rel), sort_keys=True) writes,
+    with separators (",", ":"), or with indent=2 when indented, in chunks:
+    the head, one chunk per table row that holds a true cell, and the
+    tail.
+
+    A row's pairs are one join over the per-code strings of _code_text,
+    kept once per language or universe, so no pair tuple is made.
+    """
+    # the brackets and separators of the nonempty pair list and of a pair
+    if indented:
+        fmt = {"indent": 2}
+        open_list, next_pair, close_list = "[\n    ", ",\n    ", "\n  ]"
+        open_pair, next_code, close_pair = "[\n      ", ",\n      ", "\n    ]"
+    else:
+        fmt = {"separators": (",", ":")}
+        open_list = open_pair = "["
+        next_pair = next_code = ","
+        close_list = close_pair = "]"
+    head, space, m = _artifact_parts(rel)
+    start, end = json.dumps({**head, "pairs": []}, sort_keys=True, **fmt).rsplit("[]", 1)
+    text = _code_text(space, indented)
+    yield start
+    rows = 0
+    for i, row in enumerate(m.tolist()):
+        right = list(itertools.compress(text, row))
+        if right:
+            left = open_pair + text[i] + next_code
+            yield ((next_pair if rows else open_list) + left
+                   + (close_pair + next_pair + left).join(right) + close_pair)
+            rows += 1
+    yield (close_list if rows else "[]") + end
+
+
 def relation_to_json(
     rel: Union[BelievabilityRelation, MultiBelievabilityRelation]
 ) -> dict:
@@ -1039,18 +1107,10 @@ def relation_to_json(
     writes lists.  The pairs are picked in C from the product of the
     codes with themselves by the table's bools, held as one list of n*n
     entries while the walk runs; the product reuses its tuple for every
-    false cell, so only the kept pairs are allocated.  Cost: one tuple
-    per pair, about 1.3-1.5 ms for the 12779 pairs of a relation derived
-    at n=137 and 50-70 ms for 355559 at n=697 on one 2 GHz virtual CPU.
+    false cell, so only the kept pairs are allocated.
     """
-    if isinstance(rel, BelievabilityRelation):
-        head = {"atoms": rel.lang.atom_count, "kind": "single"}
-        codes, m = _class_codes(rel.lang), rel.matrix()
-    else:
-        u = rel.universe
-        head = {"atoms": u.lang.atom_count, "kind": "multi",
-                "max_input_size": u.max_input_size}
-        codes, m = _set_codes(u), rel.table_over(u)
+    head, space, m = _artifact_parts(rel)
+    codes = _codes(space)
     pairs = list(itertools.compress(itertools.product(codes, repeat=2), m.ravel().tolist()))
     return {**head, "pairs": pairs}
 

@@ -324,3 +324,27 @@ def test_json_output_pinned_at_257(tmp_path, capsys):
     assert main(["check", "--operator", str(op), "--format", "json"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_257_SHA256
+
+
+# the theorem 4 and 5 reports on the operator of the seed-1 2-atom model
+# with both extended conditions (size 8), at max_input_size 2 (n=137);
+# each holds the derived relation's artifact_hash
+ROUNDTRIP_137_SHA256 = {
+    4: "06bbd124b19d020ec87c7726c1f89765233271b06d4a022b7d56f036edfd825f",
+    5: "ac6f0fcb7851d1de28cdc679670d65d6abadf90a78d123855e44acc4fca50948",
+}
+
+
+def test_roundtrip_output_pinned_at_137(tmp_path, capsys):
+    from choicerev import ChoiceOperator, load_model, save_operator
+
+    m, op = tmp_path / "mf.json", tmp_path / "op137.json"
+    assert main(["gen", "model", "--atoms", "2", "--seed", "1", "--size", "8",
+                 "--flags", "x3,leq3", "--out", str(m)]) == 0
+    save_operator(ChoiceOperator.from_model(load_model(str(m)), 2), str(op))
+    capsys.readouterr()
+    for theorem, want in ROUNDTRIP_137_SHA256.items():
+        assert main(["roundtrip", "--operator", str(op), "--theorem", str(theorem),
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -266,6 +266,31 @@ def test_multi_artifact_at_697_matches_pair_builder():
     assert np.array_equal(again.table_over(u), rel.table_over(u))
 
 
+def saved_reference(rel):
+    """The file the pure-Python indented encoder writes for the artifact."""
+    return json.dumps(relation_to_json(rel), sort_keys=True, indent=2) + "\n"
+
+
+def test_saved_relation_matches_indented_dump(tmp_path):
+    """save_relation writes json.dump's indent=2 text byte for byte: both
+    kinds at n=16, 17 and 137, relations with no true cell, and a
+    random table at n=697 (a derived one's reference dump takes seconds)."""
+    rels = [r for atoms in (1, 2, 3) for r in single_relations(LanguageSpec(atoms), 1)]
+    rels += multi_relations()
+    rels.append(BelievabilityRelation(LanguageSpec(2), (0,) * 16))
+    for n in (16, 137):
+        u = UniverseSpec(LanguageSpec(1 if n == 16 else 2), 4 if n == 16 else 2)
+        rels.append(MultiBelievabilityRelation.from_table(u, np.zeros((n, n), dtype=bool)))
+    u = UniverseSpec(LanguageSpec(2), 3)
+    rels.append(MultiBelievabilityRelation.from_table(
+        u, np.random.default_rng(5).random((u.size, u.size)) < 0.05))
+    p = tmp_path / "r.json"
+    for rel in rels:
+        believability.save_relation(rel, str(p))
+        assert p.read_bytes() == saved_reference(rel).encode()
+    assert {len(relation_to_json(r)["pairs"]) == 0 for r in rels} == {True, False}
+
+
 def reference_from_json(data):
     """relation_from_json's result or error, decoding both codes of every
     pair as it comes and looking each set up by itself."""
@@ -364,7 +389,10 @@ def test_mutating_an_artifact_leaves_later_ones_alone():
         art["pairs"].append(["z"])
         art["pairs"][1:3] = []
         art["atoms"] = 9
-    assert first.artifact_hash != digest
+    # the report builds its artifact on each read from a relation no caller
+    # holds: an edit to one read reaches neither the hash nor a later read
+    assert first.artifact_hash == digest
+    assert dumps(first.artifact) == blob
     later = verify_roundtrip_relation(op)
     assert later.artifact_hash == digest
     assert dumps(later.artifact) == blob
