@@ -138,7 +138,9 @@ def _parser() -> argparse.ArgumentParser:
     return root
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: Optional[dict], text_lines: list[str]) -> None:
+    """Print payload as JSON under --format json, else the text lines;
+    payload may be None when the text lines are printed."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -282,11 +284,11 @@ def _cmd_translate(args) -> int:
             print("error: project expects a set-level relation", file=sys.stderr)
             return 2
         result = project(rel)
-    data = relation_to_json(result)
     if args.verify:
         report = verify_translation(rel, max_input_size=args.max_input_size)
-        payload = {"header": _header(args), "relation": data,
-                   "report": report.to_dict()}
+        # the relation's dict is built only where it is printed
+        payload = ({"header": _header(args), "relation": relation_to_json(result),
+                    "report": report.to_dict()} if args.format == "json" else None)
         status = "pass" if report.passed else "FAIL"
         _emit(args, payload, [f"translate {args.direction}: {status} - {report.detail}"])
         if args.out:
@@ -297,6 +299,7 @@ def _cmd_translate(args) -> int:
         _emit(args, {"header": _header(args), "out": args.out},
               [f"translated ({args.direction}) -> {args.out}"])
     else:
+        data = relation_to_json(result)
         _emit(args, {"header": _header(args), "relation": data},
               [json.dumps(data, sort_keys=True)])
     return 0

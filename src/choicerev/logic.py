@@ -369,13 +369,6 @@ class SentenceClass:
             mask |= 1 << bits_to_valuation(b, lang)
         return cls(lang, mask)
 
-    @classmethod
-    def from_models(cls, lang: LanguageSpec, models: Iterable[int]) -> "SentenceClass":
-        mask = 0
-        for v in models:
-            mask |= 1 << v
-        return cls(lang, mask)
-
 
 def class_of(formula: Union[Formula, str], lang: LanguageSpec) -> SentenceClass:
     """Map a formula to its sentence class.

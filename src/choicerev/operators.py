@@ -123,26 +123,40 @@ class _Tables:
             raise OutsideUniverseError(a, self.u)
         return i
 
+    def over_members(self, per_class: np.ndarray, every: bool = False) -> np.ndarray:
+        """out[a]: the OR of per_class[x] over the members x of A_a, for
+        each input in scan order, or the AND when every is set.
+
+        per_class holds one row per class, of any shape.  Its rows are
+        gathered by `slot` from a copy with an extra row c, all False for
+        the OR and all True for the AND, so the empty input gets False or
+        True.  Cost: max_input_size row gathers of n rows; no n*k*row
+        broadcast is built.  Every some-member or every-member table of
+        the package is one or two of these folds.
+        """
+        c = len(per_class)
+        rows = (np.ones if every else np.zeros)((c + 1,) + per_class.shape[1:], dtype=bool)
+        rows[:c] = per_class
+        out = rows[self.slot[:, 0]]
+        for s in range(1, self.slot.shape[1]):
+            if every:
+                out &= rows[self.slot[:, s]]
+            else:
+                out |= rows[self.slot[:, s]]
+        return out
+
     def meets(self, masks: np.ndarray) -> np.ndarray:
         """hit[a, j]: some member of A_a follows from the belief set whose
         models are masks[j].
 
-        It is gathered, not broadcast: ent[x, j] says that class x follows
-        from belief set j, a (c+1)*m bool table whose extra row c is all
-        False, and hit is the OR over slots of the row gathers
-        ent[slot[:, s]].  Cost: c*m mask tests plus max_input_size n*m
-        byte gathers; at n=697 on one 2 GHz virtual CPU, about 0.04 ms for
-        the n*g table over an operator's g <= 16 distinct outcomes (the
-        kernel's M) and 0.06 ms for the n*12 table of a 12-outcome model.
-        The empty input meets nothing.
+        The OR fold (over_members) of ent[x, j], which says that class x
+        follows from belief set j.  Cost: c*m mask tests plus
+        max_input_size n*m byte gathers; at n=697 on one 2 GHz virtual
+        CPU, about 0.04 ms for the n*g table over an operator's g <= 16
+        distinct outcomes (the kernel's M) and 0.06 ms for the n*12 table
+        of a 12-outcome model.  The empty input meets nothing.
         """
-        c = self.u.class_count
-        ent = np.zeros((c + 1, len(masks)), dtype=bool)
-        ent[:c] = (masks[None, :] & ~np.arange(c)[:, None]) == 0
-        hit = ent[self.slot[:, 0]]
-        for s in range(1, self.slot.shape[1]):
-            hit |= ent[self.slot[:, s]]
-        return hit
+        return self.over_members((masks[None, :] & ~np.arange(self.u.class_count)[:, None]) == 0)
 
     @functools.cached_property
     def singleton_index(self) -> np.ndarray:
@@ -169,11 +183,13 @@ class _Tables:
         Every subset of an input is in the universe, so each input's at
         most 2^k subsets are enumerated once, by class bitset: 4993
         subsets at n=697, about 3 ms once per universe on one 2 GHz
-        virtual CPU.  Subset pairs and in-universe unions are gathers
-        from this n*2^k table, so no n*n subset or union table is built.
+        virtual CPU.  In-universe unions, and with them the subset pairs,
+        are gathers from this n*2^k table, so no n*n subset or union
+        table is built.  The entries are intp, so that the triples and
+        pairs gathered from them index arrays without a cast.
         """
         n = len(self.sets)
-        out = np.full((n, 1 << int(self.sizes.max())), -1, dtype=np.int32)
+        out = np.full((n, 1 << int(self.sizes.max())), -1, dtype=np.intp)
         by_bits = self._by_bits
         for a, s in enumerate(self.sets):
             bits = [0]
@@ -185,15 +201,17 @@ class _Tables:
     @functools.cached_property
     def subset_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """sub and sup, one entry per pair with A_sub a subset of A_sup,
-        sorted by (sub, sup), which is the scan order of an n*n table:
-        4993 pairs at n=697, about 0.25 ms once `subsets` is built, for
-        cautiousness."""
-        sub = self.subsets
-        ok = sub >= 0
-        sup = np.broadcast_to(np.arange(len(self.sets))[:, None], sub.shape)[ok]
-        sub = sub[ok]
-        order = np.lexsort((sup, sub))
-        return sub[order], sup[order]
+        sorted by (sub, sup), which is the scan order of an n*n table, for
+        cautiousness: 4993 pairs at n=697.
+
+        They are the `union_triples` entries whose union is their second
+        part.  A proper superset comes later in scan order, so every
+        subset pair has sub <= sup and is one of those entries, and the
+        triples' order is already (sub, sup).
+        """
+        ia, ib, iu, _ = self.union_triples
+        keep = iu == ib
+        return ia[keep], ib[keep]
 
     @functools.cached_property
     def union_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -208,7 +226,7 @@ class _Tables:
         gathered from `subsets` over every slot-mask pair and sorted.  At
         n=697 that is 8473 triples and 234780 outside pairs out of 243253,
         about 1.3 ms once `subsets` is built on one 2 GHz virtual CPU, and
-        about 140 KB kept.
+        about 200 KB kept.
         """
         sub = self.subsets
         n, width = sub.shape
@@ -253,54 +271,49 @@ class _Tables:
 
     @functools.cached_property
     def conj_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Distinct (A, A conj B) pairs, for weak coupling.
-
-        (A conj B) conj D depends on B only through v = conj_index[a, b],
-        so weak coupling is decided once per distinct pair (a, v), v >= 0.
-        Returns pa and pv, the pairs sorted by (a, v); pair_of[a, b], the
-        pair of each in-universe cell of conj_index (-1 outside); and the
-        instances checked and skipped.  Cell (a, b) checks every d with
-        A conj D and (A conj B) conj D in the universe, a count that
-        depends only on its pair, so checked is the sum over pairs of
-        multiplicity times that count, and skipped is n^3 - checked.  At
-        n=137 that is 1958 pairs for 8826 cells; at n=697, 18969 pairs for
-        about 125k cells, built in about 30 ms once per universe on one
-        2 GHz virtual CPU.
-        """
-        c2 = self.conj_index
-        n = len(self.sets)
-        ok = c2 >= 0
-        keys = (np.arange(n)[:, None] * n + c2)[ok]
-        uniq, inverse, mult = np.unique(keys, return_inverse=True, return_counts=True)
-        pa, pv = np.divmod(uniq, n)
-        pair_of = np.full((n, n), -1, dtype=np.int32)
-        pair_of[ok] = inverse
-        evaluable = np.empty(len(uniq), dtype=np.int64)
-        for blk in _row_blocks(len(uniq), n):
-            evaluable[blk] = (ok[pa[blk]] & ok[pv[blk]]).sum(axis=1)
-        checked = int(mult @ evaluable)
-        return pa, pv, pair_of, checked, n ** 3 - checked
+        """`_conj_pairs` of conj_index: at n=137, 1958 pairs for 8826
+        cells; at n=697, 18969 pairs for about 125k cells, built in about
+        30 ms once per universe on one 2 GHz virtual CPU."""
+        return _conj_pairs(self.conj_index)
 
     @functools.cached_property
     def counter_dominance_ante(self) -> np.ndarray:
         """ante[a, b]: every member of A_b entails some member of A_a.
 
-        reach[x, a] says that class x entails some member of A_a, a
-        (c+1)*n table whose extra row c is all True; with slot = member
-        where valid, else c, column b of ante is the AND over j of the
-        row gathers reach[slot[b, j]].  Kept as n*n bools, 19 KB at n=137
+        meets over every class mask says which classes entail some member
+        of each input; ante is the AND fold (over_members) of its
+        transpose over A_b's members.  Kept as n*n bools, 19 KB at n=137
         and 486 KB at n=697.
         """
-        c = self.u.class_count
-        masks = np.arange(c)
-        entails = (masks[:, None] & ~masks[None, :] & self.u.lang.full_mask) == 0
-        reach = np.ones((c + 1, len(self.sets)), dtype=bool)
-        reach[:c] = (entails[:, self.member] & self.valid).any(axis=2)
-        slot = self.slot
-        by_b = reach[slot[:, 0]]
-        for j in range(1, slot.shape[1]):
-            by_b &= reach[slot[:, j]]
-        return np.ascontiguousarray(by_b.T)
+        reach = self.meets(np.arange(self.u.class_count)).T
+        return np.ascontiguousarray(self.over_members(reach, every=True).T)
+
+
+def _conj_pairs(c2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Distinct (A, A conj B) pairs of the n*n conjunction index c2 (-1
+    outside the universe), for weak coupling.
+
+    (A conj B) conj D depends on B only through v = c2[a, b], so weak
+    coupling is decided once per distinct pair (a, v), v >= 0.  Returns
+    pa and pv, the pairs sorted by (a, v); pair_of[a, b], the pair of
+    each in-universe cell of c2 (-1 outside); and the instances checked
+    and skipped.  Cell (a, b) checks every d with A conj D and
+    (A conj B) conj D in the universe, a count that depends only on its
+    pair, so checked is the sum over pairs of multiplicity times that
+    count, and skipped is n^3 - checked.
+    """
+    n = len(c2)
+    ok = c2 >= 0
+    keys = (np.arange(n)[:, None] * n + c2)[ok]
+    uniq, inverse, mult = np.unique(keys, return_inverse=True, return_counts=True)
+    pa, pv = np.divmod(uniq, n)
+    pair_of = np.full((n, n), -1, dtype=np.int32)
+    pair_of[ok] = inverse
+    evaluable = np.empty(len(uniq), dtype=np.int64)
+    for blk in _row_blocks(len(uniq), n):
+        evaluable[blk] = (ok[pa[blk]] & ok[pv[blk]]).sum(axis=1)
+    checked = int(mult @ evaluable)
+    return pa, pv, pair_of, checked, n ** 3 - checked
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:

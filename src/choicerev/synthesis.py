@@ -419,17 +419,15 @@ def verify_translation(
                     universe=header,
                 )
         lifted = lift(r, max_input_size)
-        bad = [
-            p.value
-            for p in RelationPostulateId
-            if not check_relation_postulate(lifted, p).holds
-        ]
-        if bad:
+        # the first postulate the lift fails; the checks after it are not run
+        bad = next((p.value for p in RelationPostulateId
+                    if not check_relation_postulate(lifted, p).holds), None)
+        if bad is not None:
             return RoundTripReport(
                 3,
                 False,
-                f"lifted relation fails {bad[0]}",
-                witness={"kind": "relation_postulate", "postulate": bad[0]},
+                f"lifted relation fails {bad}",
+                witness={"kind": "relation_postulate", "postulate": bad},
                 universe=header,
             )
         back = project(lifted)
@@ -452,17 +450,14 @@ def verify_translation(
 
     u = r.universe
     header = _universe_header(u)
-    bad = [
-        p.value
-        for p in RelationPostulateId
-        if not check_relation_postulate(r, p).holds
-    ]
-    if bad:
+    bad = next((p.value for p in RelationPostulateId
+                if not check_relation_postulate(r, p).holds), None)
+    if bad is not None:
         return RoundTripReport(
             3,
             False,
-            f"relation fails {bad[0]}",
-            witness={"kind": "relation_postulate", "postulate": bad[0]},
+            f"relation fails {bad}",
+            witness={"kind": "relation_postulate", "postulate": bad},
             universe=header,
         )
     base = project(r)

@@ -348,3 +348,22 @@ def test_roundtrip_output_pinned_at_137(tmp_path, capsys):
                      "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_translate_builds_relation_dict_only_to_print_it(tmp_path, relation_file,
+                                                        monkeypatch, capsys):
+    """With --out, or with --verify in text form, the translated relation is
+    written or verified but never turned into the dict a JSON payload holds."""
+    import choicerev.cli as cli
+
+    def refuse(rel):
+        raise AssertionError("relation_to_json called")
+
+    monkeypatch.setattr(cli, "relation_to_json", refuse)
+    lifted = tmp_path / "lifted.json"
+    for fmt in ("text", "json"):
+        assert main(["translate", "--relation", relation_file, "--direction", "lift",
+                     "--out", str(lifted), "--format", fmt]) == 0
+    assert main(["translate", "--relation", relation_file, "--direction", "lift",
+                 "--verify", "--out", str(lifted)]) == 0
+    assert "translate lift: pass" in capsys.readouterr().out

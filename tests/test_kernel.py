@@ -2,6 +2,7 @@
 seed's constructions.
 
 `_reference_meets` is the n*n*maxk broadcast the kernel used to build,
+`_reference_over_members` the member/valid broadcast of the member fold,
 `_reference_union_index` (in test_conjunction) the sorted-tuple loop,
 `_reference_subset` the n*n subset loop, `_reference_draw`
 the per-entry BeliefSet draw of `random_operator`, `_reference_dichotomy`
@@ -202,6 +203,41 @@ def test_meets_matches_broadcast_and_loop_at_697():
     assert np.array_equal(meets, _loop_meets(op))
     for op in _operators(697):
         _assert_meets_k(op)
+
+
+def _reference_over_members(t, per_class, every):
+    """The member/valid broadcast: per_class gathered at every member slot
+    of every input, the empty slots masked out, then any or all."""
+    rows = per_class[t.member]
+    valid = t.valid.reshape(t.valid.shape + (1,) * (per_class.ndim - 1))
+    if every:
+        return (rows | ~valid).all(axis=1)
+    return (rows & valid).any(axis=1)
+
+
+# (atoms, max_input_size) for the universes beyond test_conjunction's
+_SMALL_SPECS = {1: (2, 0), 5: (1, 1)}
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 137, 257, 697])
+def test_over_members_matches_member_broadcast(n):
+    """Both quantifiers, on 1-D and 2-D per-class rows at every density;
+    with max_input_size 0 the only input, the empty one, gets False for
+    the OR and True for the AND."""
+    u = UniverseSpec(LanguageSpec(_SMALL_SPECS[n][0]), _SMALL_SPECS[n][1]) if n in _SMALL_SPECS else _universe(n)
+    t = _tables(u)
+    assert len(t.sets) == n
+    rng = np.random.default_rng(n)
+    c = u.class_count
+    for shape in ((c,), (c, 7)):
+        for density in (0.0, 0.3, 0.9, 1.0):
+            per_class = rng.random(shape) < density
+            for every in (False, True):
+                got = t.over_members(per_class, every=every)
+                want = _reference_over_members(t, per_class, every)
+                assert got.shape == (n,) + shape[1:]
+                assert np.array_equal(got, want), (shape, density, every)
+                assert got[t.empty_index].tolist() == np.full(shape[1:], every).tolist()
 
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])

@@ -32,6 +32,11 @@ every class are those some consistent theory K entails, searched over
 every K.  Maximality: only the contradiction has every class standing
 to it.  Completeness: every two classes compare.
 
+At 3 atoms, where the c^3 definition loop for single-level weak coupling
+is too slow, the reference is the per-class loop the single-level checker
+ran before it shared the set-level one (`class_loop_weak_coupling`); the
+other single-level references run there as they are.
+
 The member-equivalence metatheorem has a reference too: for each set
 and each of its members in scan order, the adjunction of the member,
 built with pairwise_conj, keeps the set's rank exactly when the member
@@ -65,13 +70,16 @@ from choicerev.believability import (
     RelationReport,
     RelationWitness,
     _check_multi,
+    _class_tables,
     check_member_equivalence,
     check_relation_postulate,
     derive_mb_from_operator,
     lift,
+    project,
     random_quasi_linear,
 )
 from choicerev.logic import InputSet, LanguageSpec, SentenceClass
+from choicerev.models import GenerationError, ModelFlags, generate_model
 from choicerev.operators import ChoiceOperator, _tables, random_operator
 from choicerev.synthesis import verify_roundtrip_relation, verify_translation
 
@@ -400,6 +408,116 @@ def test_single_holds_breaks_under_flip():
                     assert check_relation_postulate(broken, p) == want
                     broken_count[p] += 1
     assert min(broken_count.values()) >= 5, broken_count
+
+
+def class_loop_weak_coupling(r):
+    """Single-level weak coupling as its own checker ran it before it
+    shared the set-level one: per class a, the c*c table of premise pairs
+    and conclusions.  Unlike the definition's c^3 Python loop it runs at
+    3 atoms, in about 60 ms."""
+    c = r.class_count
+    masks = np.arange(c)
+    m = r.matrix()
+    eq = m & m.T
+    for a in range(c):
+        prem = eq[a, a & masks]
+        concl = eq[a, (a & masks)[:, None] & masks[None, :]]
+        viol = prem[:, None] & prem[None, :] & ~concl
+        if viol.any():
+            b, d = (int(v) for v in np.argwhere(viol)[0])
+            w = RelationWitness(
+                tuple(SentenceClass(r.lang, x) for x in (a, b, d)),
+                "both single adjunctions keep rank but the joint one drops it",
+            )
+            return RelationReport(WC, "single", False, c ** 3, 0, w)
+    return RelationReport(WC, "single", True, c ** 3)
+
+
+def _weak_coupling_cells(m):
+    """Cells (a, a&b&d) that hold, with a equally acceptable with a&b and
+    with a&d and a&b&d a fourth class: clearing one breaks weak coupling.
+    The per-class form of `_single_breaking_cells`, for 3 atoms."""
+    eq = m & m.T
+    out = []
+    for a in range(len(m)):
+        adj = a & np.arange(len(m))
+        keep = np.unique(adj[eq[a, adj]])
+        joint = keep[:, None] & keep[None, :]
+        fourth = (joint != keep[:, None]) & (joint != keep[None, :]) & (joint != a)
+        out += [(a, int(x)) for x in np.unique(joint[fourth]) if m[a, x]]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def three_atom_relations():
+    """Projections of the set-level relations derived from has_leq3 models
+    over 3 atoms at max_input_size 1, each followed by a random one-cell
+    flip and a flip that clears a weak-coupling conclusion."""
+    lang = LanguageSpec(3)
+    rng = random.Random(3)
+    models = []
+    while len(models) < 6:
+        flags = ModelFlags(rng.random() < 0.5, has_leq3=True)
+        try:
+            models.append(generate_model(rng.randrange(1 << 30), lang, rng.randint(1, 12), flags))
+        except GenerationError:
+            continue
+    out = []
+    for model in models:
+        r = project(derive_mb_from_operator(ChoiceOperator.from_model(model, 1)))
+        c = r.class_count
+        out += [r, _flip_single(r, rng.randrange(c), rng.randrange(c))]
+        cells = _weak_coupling_cells(r.matrix())
+        if cells:
+            out.append(_flip_single(r, *rng.choice(cells)))
+    return out
+
+
+def test_single_weak_coupling_matches_class_loop():
+    """The shared checker against the former per-class loop: verdict,
+    counts and first witness, at 1 and 2 atoms (where the loop also
+    matches the definition) and on 3-atom projections and their flips."""
+    for r in single_relations() + _forced_bottom_relations():
+        assert class_loop_weak_coupling(r) == reference_single_weak_coupling(r), r.rows
+        assert check_relation_postulate(r, WC) == class_loop_weak_coupling(r), r.rows
+    verdicts = set()
+    for r in three_atom_relations():
+        got = check_relation_postulate(r, WC)
+        assert got == class_loop_weak_coupling(r), r.rows
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+def test_single_checkers_match_references_at_3_atoms():
+    """Every single-level reference that runs in under a second at 3
+    atoms (all but weak coupling's, which is c^3 Python steps)."""
+    verdicts = {p: set() for p in SINGLE_REFERENCES if p != WC}
+    for r in three_atom_relations():
+        for p in verdicts:
+            got = check_relation_postulate(r, p)
+            assert got == SINGLE_REFERENCES[p](r), (p.value, r.rows)
+            verdicts[p].add(got.holds)
+    # no draw puts a satisfiable class at the very top
+    assert all(v == {True, False} for p, v in verdicts.items() if p != MX), verdicts
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_class_layout_matches_brute_force(atoms):
+    """_class_tables(lang): item x is class x, the conjunction index is
+    a & b, and conj_pairs are the distinct (a, a & b) pairs, every cell
+    checking all c classes d."""
+    lang = LanguageSpec(atoms)
+    c = lang.full_mask + 1
+    layout = _class_tables(lang)
+    assert [s.mask for s in layout.sets] == list(range(c))
+    assert layout.conj_index.tolist() == [[a & b for b in range(c)] for a in range(c)]
+    pa, pv, pair_of, checked, skipped = layout.conj_pairs
+    pairs = sorted({(a, a & b) for a in range(c) for b in range(c)})
+    assert list(zip(pa.tolist(), pv.tolist())) == pairs
+    at = {pair: i for i, pair in enumerate(pairs)}
+    assert pair_of.tolist() == [[at[a, a & b] for b in range(c)] for a in range(c)]
+    # every conjunction of two classes is a class: no (a, b, d) is skipped
+    assert (checked, skipped) == (c ** 3, 0)
 
 
 def _multi_cases(n):
