@@ -367,3 +367,72 @@ def test_translate_builds_relation_dict_only_to_print_it(tmp_path, relation_file
     assert main(["translate", "--relation", relation_file, "--direction", "lift",
                  "--verify", "--out", str(lifted)]) == 0
     assert "translate lift: pass" in capsys.readouterr().out
+
+
+def test_check_relation_without_singletons_is_usage_error(tmp_path):
+    """A set-level relation over a universe with no singletons
+    (max_input_size 0, n=1): minimality cannot be stated there, so `check
+    --relation` exits 2 with a message, not with a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    import choicerev
+    from choicerev import MultiBelievabilityRelation, UniverseSpec, save_relation
+    from choicerev.logic import LanguageSpec
+
+    path = tmp_path / "r0.json"
+    u = UniverseSpec(LanguageSpec(2), 0)
+    save_relation(MultiBelievabilityRelation.from_table(u, np.array([[True]])), str(path))
+    src = os.path.dirname(os.path.dirname(choicerev.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "choicerev.cli", "check", "--relation",
+                          str(path)], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "minimality needs singletons in the universe" in run.stderr
+
+
+# `check --relation` on the relation derived from the seed-1 random n=137
+# operator: weak coupling fails, with the witness of its first failing
+# instance
+CHECK_137_RELATION_SHA256 = "4e7c881b9f9de51922b499bd2a7d4dd7628b5f19f587f994d0a4a155b0cb2659"
+
+
+def test_check_relation_output_pinned_at_137(tmp_path, capsys):
+    from choicerev import derive_mb_from_operator, load_operator, save_relation
+
+    op, rel = tmp_path / "opw.json", tmp_path / "rw.json"
+    assert main(["gen", "operator", "--atoms", "2", "--max-input-size", "2",
+                 "--seed", "1", "--out", str(op)]) == 0
+    save_relation(derive_mb_from_operator(load_operator(str(op))), str(rel))
+    capsys.readouterr()
+    assert main(["check", "--relation", str(rel), "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_137_RELATION_SHA256
+    weak = next(r for r in json.loads(out)["reports"] if r["postulate"] == "weak_coupling")
+    assert not weak["holds"]
+
+
+@pytest.mark.parametrize("atoms, k", [(1, 4), (2, 1), (2, 2)])
+def test_translate_lift_json_matches_indented_dumps(tmp_path, capsys, atoms, k):
+    """`translate --direction lift --format json`, with and without
+    --verify, prints what json.dumps(payload, sort_keys=True, indent=2)
+    prints for the payload with the relation's dict, at n=16, 17, 137."""
+    from choicerev import lift, load_relation
+    from choicerev.believability import relation_to_json
+
+    path = tmp_path / "r.json"
+    assert main(["gen", "relation", "--atoms", str(atoms), "--seed", "3",
+                 "--out", str(path)]) == 0
+    relation = relation_to_json(lift(load_relation(str(path)), k))
+    capsys.readouterr()
+    for extra in ([], ["--verify"]):
+        assert main(["translate", "--relation", str(path), "--direction", "lift",
+                     "--max-input-size", str(k), "--format", "json"] + extra) == 0
+        out = capsys.readouterr().out
+        payload = {**json.loads(out), "relation": relation}
+        assert set(payload) == {"header", "relation"} | ({"report"} if extra else set())
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

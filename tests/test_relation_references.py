@@ -60,6 +60,7 @@ from test_conjunction import (
     _reference_weak_coupling,
     _universe,
 )
+from test_conj_table import assert_conj_table, pair_gather_weak_coupling
 from test_logic import pairwise_conj
 
 from choicerev.believability import (
@@ -504,20 +505,32 @@ def test_single_checkers_match_references_at_3_atoms():
 @pytest.mark.parametrize("atoms", [1, 2, 3])
 def test_class_layout_matches_brute_force(atoms):
     """_class_tables(lang): item x is class x, the conjunction index is
-    a & b, and conj_pairs are the distinct (a, a & b) pairs, every cell
-    checking all c classes d."""
+    a & b, and conj_table holds every cell as a coupling cell and the
+    distinct weak-coupling quadruples (a, a & b, a & d, a & b & d) of
+    every (a, b, d), every cell checking all c classes d."""
     lang = LanguageSpec(atoms)
     c = lang.full_mask + 1
     layout = _class_tables(lang)
     assert [s.mask for s in layout.sets] == list(range(c))
     assert layout.conj_index.tolist() == [[a & b for b in range(c)] for a in range(c)]
-    pa, pv, pair_of, checked, skipped = layout.conj_pairs
-    pairs = sorted({(a, a & b) for a in range(c) for b in range(c)})
-    assert list(zip(pa.tolist(), pv.tolist())) == pairs
-    at = {pair: i for i, pair in enumerate(pairs)}
-    assert pair_of.tolist() == [[at[a, a & b] for b in range(c)] for a in range(c)]
+    c2 = layout.conj_index
+    assert_conj_table(layout.conj_table, c2, lambda a: a & c2)
+    assert len(layout.conj_table.cells) == c * c
     # every conjunction of two classes is a class: no (a, b, d) is skipped
-    assert (checked, skipped) == (c ** 3, 0)
+    assert (layout.conj_table.checked, layout.conj_table.skipped) == (c ** 3, 0)
+
+
+def test_single_weak_coupling_matches_pair_gather():
+    """The table-gather checker against the pair-gather one it replaced,
+    over the class layout at 1-3 atoms: verdict, counts, first witness."""
+    verdicts = set()
+    for r in single_relations() + _forced_bottom_relations() + three_atom_relations():
+        layout = _class_tables(r.lang)
+        got = check_relation_postulate(r, WC)
+        assert got == pair_gather_weak_coupling(r.matrix(), layout.sets, layout.conj_index,
+                                                "single"), r.rows
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
 
 
 def _multi_cases(n):
