@@ -335,12 +335,14 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
     inputs, each meeting the next one's outcome, links A's outcome to
     B's.  Chains are resolved by reachability over the outcome-equality
     quotient, computed once.  The quotient's closure is spread to the
-    n*n table by a row gather and then a column gather, which at n=137
-    costs about a fifth of one 2-D fancy index.
+    n*n table by a column gather and then a row gather, which at n=137
+    costs about a fifth of one 2-D fancy index; in that order the table
+    comes out C-ordered, where rows first and then columns gives a
+    Fortran-ordered one.
     """
     k = op._kernel()
     reach = k.reach | np.eye(len(k.uniq), dtype=bool)
-    m = (~k.diag)[None, :] | (k.diag[:, None] & reach[k.inv][:, k.inv])
+    m = (~k.diag)[None, :] | (k.diag[:, None] & reach[:, k.inv][k.inv])
     return MultiBelievabilityRelation.from_table(op.universe, m)
 
 

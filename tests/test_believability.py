@@ -255,6 +255,18 @@ def test_derived_relation_postulates(induced_op2):
     assert is_standard(rel)
 
 
+def test_derived_table_matches_broadcast_and_is_c_ordered(induced_op2):
+    # the closure spread by one 2-D broadcast index, which yields a
+    # C-ordered table; the derived table must equal it in value and order
+    for op in (induced_op2, random_operator(0, induced_op2.universe)):
+        k = op._kernel()
+        reach = k.reach | np.eye(len(k.uniq), dtype=bool)
+        want = (~k.diag)[None, :] | (k.diag[:, None] & reach[k.inv[:, None], k.inv[None, :]])
+        got = derive_mb_from_operator(op).table_over(op.universe)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+
+
 def test_derived_relation_regenerates_operator(induced_op2):
     rel = derive_mb_from_operator(induced_op2)
     k = induced_op2.K
