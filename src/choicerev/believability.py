@@ -15,7 +15,8 @@ live here.
 Transitivity, coupling, weak coupling and completeness are stated alike
 at both levels, so one checker (_check_shared) runs them on a table over
 a layout: a universe's input sets with their pairwise conjunctions, or a
-language's classes with a & b (_class_tables).
+language's classes with a & b (operators._class_tables, the one class
+layout, which the single-sentence operator battery runs on too).
 
 The translations and the artifact writer are table operations: a single
 relation's rows unpack to a c*c bool matrix, the lift's table over a
@@ -34,7 +35,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -51,8 +52,8 @@ from .operators import (
     ChoiceOperator,
     OutsideUniverseError,
     UniverseSpec,
-    _conj_table,
-    _ConjTable,
+    _class_tables,
+    _ClassTables,
     _first_true,
     _Tables,
     _tables,
@@ -425,27 +426,6 @@ def _cls(lang: LanguageSpec, m: int) -> SentenceClass:
     return SentenceClass(lang, m)
 
 
-class _ClassTables(NamedTuple):
-    """The sentence classes of a language laid out as _Tables lays out a
-    universe's input sets, for the postulates both levels share: item x
-    is class x, and the conjunction of x and y is x & y, which is always
-    a class, so nothing falls outside.  conj_table is _conj_table of that
-    index, built once per language: at 3 atoms (c=256), 65536 coupling
-    cells and 133057 weak-coupling quadruples (4.2 MB) in about 29 ms on
-    one 2 GHz virtual CPU."""
-
-    sets: tuple[SentenceClass, ...]
-    conj_index: np.ndarray
-    conj_table: _ConjTable
-
-
-@functools.lru_cache(maxsize=None)
-def _class_tables(lang: LanguageSpec) -> _ClassTables:
-    masks = np.arange(lang.full_mask + 1)
-    c2 = masks[:, None] & masks
-    return _ClassTables(tuple(_cls(lang, x) for x in range(len(masks))), c2, _conj_table(c2))
-
-
 def _check_shared(
     p: RelationPostulateId,
     t: Union[_Tables, _ClassTables],
@@ -534,8 +514,8 @@ def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationR
         return RelationReport(p, "single", holds, checked, 0, witness)
 
     if p == RelationPostulateId.COUNTER_DOMINANCE:
-        masks = np.arange(c)
-        ent = (masks[:, None] & ~masks[None, :] & lang.full_mask) == 0
+        # ent[a, b]: class a entails class b
+        ent = _class_tables(lang).meets(np.arange(c)).T
         viol = ent & ~l.T
         if not viol.any():
             return report(True, c * c)

@@ -86,9 +86,11 @@ def bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against 0.055 ms on derived and lifted relation tables at n=137, on
     one virtual CPU with OpenBLAS.
 
-    Callers: transitivity at both levels (the table with itself),
-    `reachability`'s squaring loop, and the operator kernel's outcome
-    quotient (the g*n group indicator with the n*g meets table).
+    Callers: relation transitivity at both levels (the table with
+    itself), `reachability`'s squaring loop, and the operator kernel's
+    outcome quotient (the g*n group indicator with the n*g meets table),
+    also at both levels: over a universe's inputs, or over a language's
+    classes for the single-sentence battery.
     """
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 

@@ -8,9 +8,11 @@ and must both satisfy its postulate set and regenerate the operator; the
 single/set-level translations must round-trip.  Reports carry
 re-checkable witnesses and a content hash of the synthesized artifact.
 
-Single-sentence revision operators live here too, with their own
-postulate battery and the classic three-cycle counterexample showing the
-loop-form of reciprocity is strictly stronger than the two-point form.
+Single-sentence revision operators live here too, with the classic
+three-cycle counterexample showing the loop-form of reciprocity is
+strictly stronger than the two-point form.  Their postulates are the
+set-level ones, run by the set-level checkers over the language's
+classes (check_sentential_postulates).
 """
 
 from __future__ import annotations
@@ -47,13 +49,16 @@ from .logic import (
 )
 from .models import RelationalModel, check_extended_conditions
 from .operators import (
+    _CHECKERS,
     BASIC_POSTULATES,
     SUPPLEMENTARY_POSTULATES,
     ChoiceOperator,
     PostulateId,
     UniverseSpec,
+    _class_tables,
     _first_true,
     _model_rows,
+    _OpKernel,
     _tables,
     check_postulates,
 )
@@ -557,6 +562,7 @@ class SententialOperator:
     def __post_init__(self) -> None:
         if not self.K.is_consistent:
             raise ValueError("K must be consistent")
+        self.lang.require_exhaustive()
         c = self.K.lang.full_mask + 1
         if len(self.outputs) != c:
             raise ValueError(f"table must cover all {c} classes, got {len(self.outputs)}")
@@ -572,11 +578,7 @@ class SententialOperator:
     def from_function(
         cls, lang: LanguageSpec, k: BeliefSet, fn: Callable[[SentenceClass], BeliefSet]
     ) -> "SententialOperator":
-        lang.require_exhaustive()
-        return cls(
-            k,
-            tuple(fn(SentenceClass(lang, m)) for m in range(lang.full_mask + 1)),
-        )
+        return cls(k, tuple(map(fn, _class_tables(lang).sets)))
 
 
 def footnote7_operator(lang: Optional[LanguageSpec] = None) -> SententialOperator:
@@ -614,108 +616,43 @@ def footnote7_operator(lang: Optional[LanguageSpec] = None) -> SententialOperato
     )
 
 
+# each single-sentence postulate and the set-level checker that states it
+# over the class layout, with the single-sentence witness note
+_SENTENTIAL_CHECKS = {
+    SententialPostulateId.CLOSURE: (PostulateId.CLOSURE, "outcome over a different language"),
+    SententialPostulateId.RELATIVE_SUCCESS: (
+        PostulateId.RELATIVE_SUCCESS, "outcome differs from the prior state yet drops the input"),
+    SententialPostulateId.CONFIRMATION: (
+        PostulateId.CONFIRMATION, "already believed input must leave the state unchanged"),
+    SententialPostulateId.REGULARITY: (
+        PostulateId.REGULARITY, "input accepted in another's outcome but not in its own"),
+    SententialPostulateId.RECIPROCITY: (
+        PostulateId.RECIPROCITY, "mutually accepted pair with different outcomes"),
+    # classes quotient syntax, so equivalent inputs share a table row
+    SententialPostulateId.EXTENSIONALITY: (PostulateId.SYNTAX_IRRELEVANCE, ""),
+    SententialPostulateId.STRONG_RECIPROCITY: (
+        PostulateId.STRONG_RECIPROCITY, "loop of successively accepted inputs with unequal outcomes"),
+}
+
+
 def check_sentential_postulates(
     op: SententialOperator,
 ) -> dict[SententialPostulateId, SententialReport]:
     """Verdicts for the five core postulates, extensionality, and the
     loop form of reciprocity (all outcomes equal within each strongly
-    connected component of the membership graph)."""
-    lang = op.lang
-    c = lang.full_mask + 1
-    full = lang.full_mask
-    masks = np.arange(c)
-    out = np.array([o.mask for o in op.outputs], dtype=np.int64)
-    kmask = op.K.mask
-    # member[x, y]: class x follows from the outcome for y
-    member = (out[None, :] & ~masks[:, None] & full) == 0
-    in_k = (kmask & ~masks & full) == 0
-    diag = member.diagonal().copy()
-    eq_k = out == kmask
+    connected component of the membership graph).
 
-    def cls(m: int) -> SentenceClass:
-        return SentenceClass(lang, int(m))
-
+    The postulates are stated alike for single sentences and for input
+    sets, so each report comes from the set-level checker (operators'
+    `_CHECKERS`) run on an `_OpKernel` over the language's class layout
+    (`_class_tables`): item x is class x, and class x meets an outcome
+    when the outcome contains it.  Extensionality is syntax irrelevance.
+    Only the witness notes are this level's own.
+    """
+    k = _OpKernel(_class_tables(op.lang), op.outputs, op.K)
     reports = {}
-
-    reports[SententialPostulateId.CLOSURE] = SententialReport(
-        SententialPostulateId.CLOSURE, True, c
-    )
-
-    viol = ~(eq_k | diag)
-    w = None
-    if viol.any():
-        x = int(np.flatnonzero(viol)[0])
-        w = SententialWitness(
-            (cls(x),), (op.outputs[x],), "outcome differs from the prior state yet drops the input"
-        )
-    reports[SententialPostulateId.RELATIVE_SUCCESS] = SententialReport(
-        SententialPostulateId.RELATIVE_SUCCESS, not viol.any(), c, w
-    )
-
-    viol = in_k & ~eq_k
-    w = None
-    if viol.any():
-        x = int(np.flatnonzero(viol)[0])
-        w = SententialWitness(
-            (cls(x),), (op.outputs[x],), "already believed input must leave the state unchanged"
-        )
-    reports[SententialPostulateId.CONFIRMATION] = SententialReport(
-        SententialPostulateId.CONFIRMATION, not viol.any(), c, w
-    )
-
-    viol_m = member & ~diag[:, None]
-    w = None
-    if viol_m.any():
-        x, y = _first_true(viol_m)
-        w = SententialWitness(
-            (cls(x), cls(y)),
-            (op.outputs[x], op.outputs[y]),
-            "input accepted in another's outcome but not in its own",
-        )
-    reports[SententialPostulateId.REGULARITY] = SententialReport(
-        SententialPostulateId.REGULARITY, not viol_m.any(), c * c, w
-    )
-
-    viol_m = member & member.T & (out[:, None] != out[None, :])
-    w = None
-    if viol_m.any():
-        x, y = _first_true(viol_m)
-        w = SententialWitness(
-            (cls(x), cls(y)),
-            (op.outputs[x], op.outputs[y]),
-            "mutually accepted pair with different outcomes",
-        )
-    reports[SententialPostulateId.RECIPROCITY] = SententialReport(
-        SententialPostulateId.RECIPROCITY, not viol_m.any(), c * c, w
-    )
-
-    # classes quotient syntax, so equivalent inputs share a table row
-    reports[SententialPostulateId.EXTENSIONALITY] = SententialReport(
-        SententialPostulateId.EXTENSIONALITY, True, c
-    )
-
-    # x and y share a component iff each reaches the other; a component
-    # whose outcomes differ is labelled by its smallest member, and the
-    # loop runs through the first one in Tarjan's output order, from its
-    # first-discovered member x to the first one after it, y, with another
-    # outcome
-    reach = graphs.reachability(member)
-    mutual = reach & reach.T
-    differs = (mutual & (out[:, None] != out[None, :])).any(axis=1)
-    w = None
-    if differs.any():
-        rows = graphs.bitset_rows(member)
-        members = graphs.first_component(rows, np.where(differs, mutual.argmax(axis=1), -1).tolist())
-        x = next(members)
-        y = next(v for v in members if out[v] != out[x])
-        # the BFS path there, then the BFS path back
-        cycle = graphs.shortest_path(rows, x, y)[:-1] + graphs.shortest_path(rows, y, x)[:-1]
-        w = SententialWitness(
-            tuple(cls(i) for i in cycle),
-            tuple(op.outputs[i] for i in cycle),
-            "loop of successively accepted inputs with unequal outcomes",
-        )
-    reports[SententialPostulateId.STRONG_RECIPROCITY] = SententialReport(
-        SententialPostulateId.STRONG_RECIPROCITY, w is None, c * c, w
-    )
+    for sp, (p, note) in _SENTENTIAL_CHECKS.items():
+        r = _CHECKERS[p](k)
+        w = r.witness and SententialWitness(r.witness.inputs, r.witness.outcomes, note)
+        reports[sp] = SententialReport(sp, r.holds, r.checked, w)
     return reports

@@ -18,6 +18,7 @@ the same brute force and oracle in test_relation_references.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from choicerev.believability import (
     RelationWitness,
     _check_multi,
     _check_shared,
-    _ClassTables,
     derive_mb_from_operator,
 )
 from choicerev.logic import LanguageSpec
@@ -273,7 +273,7 @@ def test_weak_coupling_t_equal_to_a():
     coupling at (0, 1, 1) and nowhere else; both quadruples with t = a
     must be in the table."""
     c2 = np.add.outer(np.arange(2), np.arange(2)) % 2
-    layout = _ClassTables(("x0", "x1"), c2, _conj_table(c2))
+    layout = SimpleNamespace(sets=("x0", "x1"), conj_index=c2, conj_table=_conj_table(c2))
     assert _table_quads(layout.conj_table, 2) == [(0, 1, 1, 0), (1, 0, 0, 1)]
     m = np.array([[False, True], [True, True]])
     got = _check_shared(WC, layout, m, "single")

@@ -282,7 +282,7 @@ def test_dichotomy_and_strong_reciprocity_match_references(n):
     for seed in range(3):
         for op in _operators(n, seed):
             for p, reference in _REFERENCES:
-                report = _CHECKERS[p](op)
+                report = _CHECKERS[p](op._kernel())
                 assert report.to_dict() == reference(op).to_dict(), p.value
                 verdicts[p].add(report.holds)
     # both verdicts, so failing witnesses are compared too; with singleton
@@ -300,7 +300,7 @@ def test_dichotomy_and_strong_reciprocity_match_references_at_697():
     for seed in range(3):
         for op in _operators(697, seed):
             for p, reference in _REFERENCES:
-                report = _CHECKERS[p](op)
+                report = _CHECKERS[p](op._kernel())
                 assert report.to_dict() == reference(op).to_dict(), p.value
                 verdicts[p].add(report.holds)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
@@ -360,7 +360,7 @@ def test_strong_reciprocity_full_walk_matches_reference(n):
     ops = [op for op in ops if _mixed_components(op) >= 2]
     assert len(ops) >= 10
     for op in ops:
-        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op)
+        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op._kernel())
         assert not report.holds
         assert report.to_dict() == _reference_strong_reciprocity(op).to_dict()
 
@@ -404,7 +404,7 @@ def test_memoised_reports_match_fresh_copy(n):
         }
         # and the unmemoised checkers on a third copy
         plain = ChoiceOperator(op.universe, op.K, op.outputs)
-        assert {p: _CHECKERS[p](plain).to_dict() for p in PostulateId} == {
+        assert {p: _CHECKERS[p](plain._kernel()).to_dict() for p in PostulateId} == {
             p: r.to_dict() for p, r in reports.items()
         }
 
@@ -468,7 +468,7 @@ def test_failing_strong_reciprocity_builds_no_n_by_n_array():
     n = len(op.outputs)
     tracemalloc.start()
     try:
-        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op)
+        report = _CHECKERS[PostulateId.STRONG_RECIPROCITY](op._kernel())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -580,7 +580,7 @@ def test_reciprocity_matches_definition(n):
     verdicts = set()
     for seed in range(3):
         for op in _operators(n, seed):
-            report = _CHECKERS[PostulateId.RECIPROCITY](op)
+            report = _CHECKERS[PostulateId.RECIPROCITY](op._kernel())
             assert _verdict(report) == _reference_reciprocity(op)
             verdicts.add(report.holds)
     assert verdicts == {True, False}
@@ -588,7 +588,7 @@ def test_reciprocity_matches_definition(n):
 
 def test_reciprocity_matches_definition_at_697():
     op = _operators(697)[2]
-    assert _verdict(_CHECKERS[PostulateId.RECIPROCITY](op)) == _reference_reciprocity(op)
+    assert _verdict(_CHECKERS[PostulateId.RECIPROCITY](op._kernel())) == _reference_reciprocity(op)
 
 
 def _reference_relative_success(op):
@@ -688,7 +688,7 @@ def test_meets_checkers_match_definitions(n):
     for seed in range(3):
         for op in _operators(n, seed):
             for p, reference in _DEFINITIONS:
-                report = _CHECKERS[p](op)
+                report = _CHECKERS[p](op._kernel())
                 assert _verdict(report) == reference(op), p.value
                 verdicts[p].add(report.holds)
     # with singleton inputs only, a proper subset is empty and meets
@@ -702,7 +702,7 @@ def test_meets_checkers_match_definitions(n):
 def test_meets_checkers_match_definitions_at_697():
     op = _operators(697)[2]
     for p, reference in _DEFINITIONS:
-        assert _verdict(_CHECKERS[p](op)) == reference(op), p.value
+        assert _verdict(_CHECKERS[p](op._kernel())) == reference(op), p.value
 
 
 # Every verdict, count, witness and outcome quotient on the corpus below
@@ -742,18 +742,18 @@ def test_closure_flags_foreign_language_output(n):
     # an equal but distinct LanguageSpec object is the same language
     twin = LanguageSpec(u.lang.atom_count)
     for op in _operators(n):
-        assert _CHECKERS[PostulateId.CLOSURE](op) == _reference_closure(op)
+        assert _CHECKERS[PostulateId.CLOSURE](op._kernel()) == _reference_closure(op)
         outputs = [BeliefSet(twin, o.mask) if i % 2 else o for i, o in enumerate(op.outputs)]
         same = ChoiceOperator(u, op.K, tuple(outputs))
         assert outputs[1].lang is not u.lang
-        assert _CHECKERS[PostulateId.CLOSURE](same) == _reference_closure(same)
+        assert _CHECKERS[PostulateId.CLOSURE](same._kernel()) == _reference_closure(same)
         assert _reference_closure(same).holds
         # two foreign entries holding one object, and the first in scan
         # order behind an entry that only shares its mask
         foreign = BeliefSet(LanguageSpec(u.lang.atom_count + 1), op.outputs[3].mask)
         outputs[n - 1] = outputs[5] = foreign
         bad = ChoiceOperator(u, op.K, tuple(outputs))
-        report = _CHECKERS[PostulateId.CLOSURE](bad)
+        report = _CHECKERS[PostulateId.CLOSURE](bad._kernel())
         assert report == _reference_closure(bad)
         assert not report.holds and report.checked == n
         assert report.witness.inputs == (sets[5],)

@@ -71,7 +71,6 @@ from choicerev.believability import (
     RelationReport,
     RelationWitness,
     _check_multi,
-    _class_tables,
     check_member_equivalence,
     check_relation_postulate,
     derive_mb_from_operator,
@@ -81,7 +80,7 @@ from choicerev.believability import (
 )
 from choicerev.logic import InputSet, LanguageSpec, SentenceClass
 from choicerev.models import GenerationError, ModelFlags, generate_model
-from choicerev.operators import ChoiceOperator, _tables, random_operator
+from choicerev.operators import ChoiceOperator, _class_tables, _tables, random_operator
 from choicerev.synthesis import verify_roundtrip_relation, verify_translation
 
 TR = RelationPostulateId.TRANSITIVITY

@@ -1,6 +1,9 @@
 """Model synthesis, representation round trips, the three-clause table."""
 
+import hashlib
+import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from choicerev.models import (
 from choicerev.operators import (
     BASIC_POSTULATES,
     ChoiceOperator,
+    _ClassTables,
     PostulateId,
     UniverseSpec,
     check_postulate,
@@ -362,6 +366,56 @@ def _sentential_ops():
     return ops
 
 
+def _sentential_corpus():
+    """`_sentential_ops()`, the same kinds of table at 1 atom, the table a
+    model induces for every flag pair at 1-3 atoms, one-entry flips of
+    those structured tables, and random tables over pools of 1-4 drawn
+    outcomes, or of as many as there are classes, from more seeds at 1-3
+    atoms."""
+    ops = _sentential_ops()
+    for atoms in (1, 2, 3):
+        lang = LanguageSpec(atoms)
+        c = lang.full_mask + 1
+        own = SententialOperator.from_function(
+            lang, BeliefSet.trivial(lang), lambda x, lang=lang: BeliefSet(lang, x.mask)
+        )
+        models = []
+        for flags in (ModelFlags(x3, leq3) for x3 in (False, True) for leq3 in (False, True)):
+            m = generate_model(atoms, lang, (1 << atoms) + flags.has_X3, flags)
+            models.append(SententialOperator.from_function(
+                lang, m.K, lambda x, m=m: choice_revise_via_model(m, InputSet(lang, frozenset({x})))
+            ))
+        # footnote 7 and the own-closure tables at 2 and 3 atoms are in
+        # _sentential_ops()
+        ops += models + ([own] if atoms == 1 else [])
+        for op in [own] + models + ([footnote7_operator()] if atoms == 3 else []):
+            for i in range(1, c, max(1, c // 5)):
+                outputs = list(op.outputs)
+                outputs[i] = BeliefSet(lang, outputs[i].mask ^ 1)
+                ops.append(SententialOperator(op.K, tuple(outputs)))
+        for seed in range({1: 200, 2: 300, 3: 200}[atoms]):
+            rng = random.Random(1000 * atoms + seed)
+            size = seed % 5 + 1 if seed % 5 < 4 else c
+            pool = [BeliefSet(lang, rng.randrange(c)) for _ in range(size)]
+            k = BeliefSet(lang, rng.randrange(1, c))
+            ops.append(SententialOperator.from_function(lang, k, lambda _, p=pool, r=rng: r.choice(p)))
+    return ops
+
+
+# Every verdict, count and witness of the sentential battery on
+# `_sentential_corpus()`, as the battery gave them with its own
+# postulate code, before it ran the set-level checkers.
+SENTENTIAL_REPORT_DIGEST = "efdd92b20b4eccd5f5d3d676aa246e116dd8369d720b33d942d7d39a11227fc0"
+
+
+def test_sentential_report_digest_pinned():
+    h = hashlib.sha256()
+    for op in _sentential_corpus():
+        reports = check_sentential_postulates(op)
+        h.update(json.dumps([reports[p].to_dict() for p in SententialPostulateId]).encode())
+    assert h.hexdigest() == SENTENTIAL_REPORT_DIGEST
+
+
 def test_sentential_strong_reciprocity_matches_reference():
     """The loop is the seed's: edge-by-edge Tarjan over the membership
     graph, built here from `entails`, and BFS there and back inside the
@@ -381,6 +435,77 @@ def test_sentential_strong_reciprocity_matches_reference():
     assert verdicts == {True, False}
 
 
+def _sentential_relative_success(op):
+    """(holds, checked, first witness): every outcome is K or contains its
+    input."""
+    classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    for x in classes:
+        if op.outcome(x) != op.K and not entails(op.outcome(x), x):
+            return False, len(classes), (x,)
+    return True, len(classes), None
+
+
+def _sentential_confirmation(op):
+    """(holds, checked, first witness): an input that K already contains
+    leaves K unchanged."""
+    classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    for x in classes:
+        if entails(op.K, x) and op.outcome(x) != op.K:
+            return False, len(classes), (x,)
+    return True, len(classes), None
+
+
+def _sentential_regularity(op):
+    """(holds, checked, first witness): an input that some input's outcome
+    contains is in its own outcome."""
+    classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    for x in classes:
+        for y in classes:
+            if entails(op.outcome(y), x) and not entails(op.outcome(x), x):
+                return False, len(classes) ** 2, (x, y)
+    return True, len(classes) ** 2, None
+
+
+def _sentential_reciprocity(op):
+    """(holds, checked, first witness): two inputs each in the other's
+    outcome have the same outcome."""
+    classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    for x in classes:
+        for y in classes:
+            if (
+                entails(op.outcome(y), x)
+                and entails(op.outcome(x), y)
+                and op.outcome(x) != op.outcome(y)
+            ):
+                return False, len(classes) ** 2, (x, y)
+    return True, len(classes) ** 2, None
+
+
+_SENTENTIAL_DEFINITIONS = (
+    (SententialPostulateId.RELATIVE_SUCCESS, _sentential_relative_success),
+    (SententialPostulateId.CONFIRMATION, _sentential_confirmation),
+    (SententialPostulateId.REGULARITY, _sentential_regularity),
+    (SententialPostulateId.RECIPROCITY, _sentential_reciprocity),
+)
+
+
+def test_sentential_checkers_match_definitions():
+    """Verdict, count and first witness in scan order of relative success,
+    confirmation, regularity and reciprocity, against loops over each
+    definition, on the whole corpus; each postulate shows both verdicts."""
+    verdicts = {p: set() for p, _ in _SENTENTIAL_DEFINITIONS}
+    for op in _sentential_corpus():
+        reports = check_sentential_postulates(op)
+        for p, reference in _SENTENTIAL_DEFINITIONS:
+            r = reports[p]
+            items = r.witness.items if r.witness else None
+            assert (r.holds, r.checked, items) == reference(op), p.value
+            if items:
+                assert r.witness.outcomes == tuple(map(op.outcome, items)), p.value
+            verdicts[p].add(r.holds)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
 def test_own_closure_operator_passes_everything(lang3):
     op = SententialOperator.from_function(
         lang3,
@@ -389,6 +514,49 @@ def test_own_closure_operator_passes_everything(lang3):
     )
     reports = check_sentential_postulates(op)
     assert all(r.holds for r in reports.values())
+
+
+def test_sentential_closure_flags_outcome_over_another_language(lang2, lang3):
+    """The own-closure table at 3 atoms with one outcome over 2 atoms, of
+    the same mask: closure fails and names that class, and the other
+    postulates, which read masks only, still hold."""
+    x = 6
+    foreign = BeliefSet(lang2, x)
+    op = SententialOperator(
+        BeliefSet.trivial(lang3),
+        tuple(foreign if m == x else BeliefSet(lang3, m) for m in range(lang3.full_mask + 1)),
+    )
+    reports = check_sentential_postulates(op)
+    closure = reports.pop(SententialPostulateId.CLOSURE)
+    assert not closure.holds and closure.checked == lang3.full_mask + 1
+    assert closure.witness.items == (SentenceClass(lang3, x),)
+    assert closure.witness.outcomes[0] is foreign
+    assert all(r.holds for r in reports.values())
+
+
+def test_sentential_battery_reads_no_conjunction_table(monkeypatch):
+    """The battery runs on the class layout's entailment table alone: the
+    conjunction index and table, which only relation checks read, are
+    never touched (a property outranks a value already cached)."""
+    def unread(layout):
+        raise AssertionError("conjunction table read")
+
+    monkeypatch.setattr(_ClassTables, "conj_index", property(unread))
+    monkeypatch.setattr(_ClassTables, "conj_table", property(unread))
+    for op in _sentential_ops():
+        check_sentential_postulates(op)
+
+
+def test_sentential_operator_needs_exhaustive_language():
+    """A 4-atom table (65536 classes) is refused when it is made, not when
+    its check builds class-by-class tables."""
+    lang = LanguageSpec(4)
+    k = BeliefSet.trivial(lang)
+    outputs = (k,) * (lang.full_mask + 1)
+    start = time.perf_counter()
+    with pytest.raises(LanguageError, match="exhaustive"):
+        SententialOperator(k, outputs)
+    assert time.perf_counter() - start < 1
 
 
 def test_sentential_inconsistent_k_rejected(lang3):
