@@ -38,7 +38,6 @@ from .models import (
     check_extended_conditions,
     choice_revise_via_model,
     descriptor_revise,
-    enumerate_models,
     generate_model,
     load_model,
     save_model,
@@ -69,14 +68,11 @@ from .believability import (
     RelationPostulateId,
     check_relation_postulate,
     derive_mb_from_operator,
-    enumerate_quasi_linear,
     is_quasi_linear,
-    is_standard,
     lift,
     load_relation,
     project,
     random_quasi_linear,
-    representation_element,
     revise_via_mb,
     save_relation,
 )

@@ -8,9 +8,10 @@ universe: a table given directly (from_table, which also holds the
 ordering derived from a choice operator's outcome table and every
 relation read from a file) or the best-member lift of a single-sentence
 relation, tabled over the universe it is asked for.  Postulate suites
-for both levels, the lift/projection translations, relation-driven
-revision, and the metatheorem checkers used by the test battery all
-live here.
+for both levels, the lift/projection translations and relation-driven
+revision live here; the lemmas that the representation proofs use
+(member reduction, representation elements, coupling collapse) are
+checked from their definitions by the test battery.
 
 Transitivity, coupling, weak coupling and completeness are stated alike
 at both levels, so one checker (_check_shared) runs them on a table over
@@ -155,6 +156,8 @@ class BelievabilityRelation:
         return self.lang.full_mask + 1
 
     def holds(self, a: SentenceClass, b: SentenceClass) -> bool:
+        self.lang.require_own(a, "a relation")
+        self.lang.require_own(b, "a relation")
         return bool((self.rows[a.mask] >> b.mask) & 1)
 
     def equiv(self, a: SentenceClass, b: SentenceClass) -> bool:
@@ -350,23 +353,6 @@ def derive_mb_from_operator(op: ChoiceOperator) -> MultiBelievabilityRelation:
 # ---------------------------------------------------------------------------
 # Relation-driven revision
 # ---------------------------------------------------------------------------
-
-def representation_element(mb: MultiBelievabilityRelation, a: InputSet) -> SentenceClass:
-    """A member exactly as acceptable as the whole set.
-
-    Deterministic tie-break: smallest canonical class encoding.
-    """
-    if len(a) == 0:
-        raise ValueError("input set must be nonempty")
-    found = [
-        c
-        for c in a.classes
-        if mb.equiv(InputSet.of(a.lang, c), a)
-    ]
-    if not found:
-        raise RelationOperationError("no representation element")
-    return min(found, key=lambda c: c.encode())
-
 
 def revise_via_mb(
     mb: MultiBelievabilityRelation, k: BeliefSet, a: InputSet
@@ -667,10 +653,6 @@ def is_quasi_linear(r: BelievabilityRelation) -> bool:
     return all(_check_single(r, p).holds for p in QUASI_LINEAR_POSTULATES)
 
 
-def is_standard(rel: MultiBelievabilityRelation) -> bool:
-    return all(_check_multi(rel, p).holds for p in STANDARD_POSTULATES)
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -742,232 +724,6 @@ def _merge_for_coupling(layers: list[list[int]]) -> Optional[list[list[int]]]:
             return None
         fused = [m for layer in layers[lo : hi + 1] for m in layer]
         layers = layers[:lo] + [sorted(fused)] + layers[hi + 1 :]
-
-
-def enumerate_quasi_linear(lang: LanguageSpec) -> list[BelievabilityRelation]:
-    """All relations passing the seven postulates; tiny class universes only."""
-    c = lang.full_mask + 1
-    if c > 4:
-        raise LanguageError(
-            f"exhaustive relation enumeration needs at most 4 classes, got {c}"
-        )
-    seen = set()
-    found = []
-    for assignment in itertools.product(range(c), repeat=c):
-        levels = sorted(set(assignment))
-        layers = [[m for m in range(c) if assignment[m] == lv] for lv in levels]
-        rel = BelievabilityRelation.from_layers(lang, layers)
-        if rel.rows in seen:
-            continue
-        seen.add(rel.rows)
-        if is_quasi_linear(rel):
-            found.append(rel)
-    return sorted(found, key=lambda r: r.rows)
-
-
-# ---------------------------------------------------------------------------
-# Metatheorem checkers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetatheoremReport:
-    name: str
-    antecedents: dict
-    applicable: bool
-    holds: bool
-    checked: int
-    skipped: int = 0
-    witness: Optional[RelationWitness] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "antecedents": dict(self.antecedents),
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
-
-
-def _antecedents(rel: MultiBelievabilityRelation, ps: tuple) -> dict:
-    return {p.value: _check_multi(rel, p).holds for p in ps}
-
-
-def check_member_reduction(rel: MultiBelievabilityRelation) -> MetatheoremReport:
-    """Set comparisons reduce to member comparisons, both directions.
-
-    For nonempty sets: A ranks at least as high as B iff some member of
-    A does, and iff A ranks at least as high as every singleton from B.
-    Sound under transitivity, counter dominance, union and determination.
-    """
-    ante = _antecedents(
-        rel,
-        (
-            RelationPostulateId.DETERMINATION,
-            RelationPostulateId.TRANSITIVITY,
-            RelationPostulateId.COUNTER_DOMINANCE,
-            RelationPostulateId.UNION,
-        ),
-    )
-    u = rel.universe
-    t = _tables(u)
-    m = rel.table_over(u)
-    sing = t.singleton_index
-    nonempty = t.sizes > 0
-    # left[a, b]: some member of A ranks at least as high as B; right[a, b]:
-    # A ranks at least as high as every member of B
-    left = t.over_members(m[sing])
-    right = t.over_members(m[:, sing].T, every=True).T
-    scope = nonempty[:, None] & nonempty[None, :]
-    viol = scope & ((m != left) | (m != right))
-    checked = int(scope.sum())
-    applicable = all(ante.values())
-    if not viol.any():
-        return MetatheoremReport(
-            "member_reduction", ante, applicable, True, checked
-        )
-    a, b = _first_true(viol)
-    w = RelationWitness(
-        (t.sets[a], t.sets[b]),
-        "set-level comparison disagrees with its member-level reduction",
-    )
-    return MetatheoremReport(
-        "member_reduction", ante, applicable, False, checked, witness=w
-    )
-
-
-def check_coupling_collapse(rel: MultiBelievabilityRelation) -> MetatheoremReport:
-    """Under transitivity, counter dominance and union: completeness is
-    forced, and the weak and plain conjunction-compatibility postulates
-    agree."""
-    ante = _antecedents(
-        rel,
-        (
-            RelationPostulateId.TRANSITIVITY,
-            RelationPostulateId.COUNTER_DOMINANCE,
-            RelationPostulateId.UNION,
-        ),
-    )
-    comp = _check_multi(rel, RelationPostulateId.COMPLETENESS)
-    wc = _check_multi(rel, RelationPostulateId.WEAK_COUPLING)
-    cp = _check_multi(rel, RelationPostulateId.COUPLING)
-    holds = comp.holds and (wc.holds == cp.holds)
-    applicable = all(ante.values())
-    witness = None
-    if not holds:
-        witness = (comp.witness or wc.witness or cp.witness)
-    return MetatheoremReport(
-        "coupling_collapse",
-        ante,
-        applicable,
-        holds,
-        comp.checked + wc.checked + cp.checked,
-        wc.skipped + cp.skipped,
-        witness,
-    )
-
-
-def check_representation_existence(rel: MultiBelievabilityRelation) -> MetatheoremReport:
-    """Every nonempty set has a member exactly as acceptable as the set.
-
-    Sound under transitivity, counter dominance and union.
-    """
-    ante = _antecedents(
-        rel,
-        (
-            RelationPostulateId.TRANSITIVITY,
-            RelationPostulateId.COUNTER_DOMINANCE,
-            RelationPostulateId.UNION,
-        ),
-    )
-    u = rel.universe
-    t = _tables(u)
-    m = rel.table_over(u)
-    eq = m & m.T
-    sing = t.singleton_index
-    rowsel = sing[t.member]
-    # ok[i, j]: member j of set i is exactly as acceptable as set i
-    ok = eq[np.clip(rowsel, 0, None), np.arange(len(t.sets))[:, None]]
-    has = (ok & t.valid).any(axis=1)
-    nonempty = t.sizes > 0
-    viol = nonempty & ~has
-    checked = int(nonempty.sum())
-    applicable = all(ante.values())
-    if not viol.any():
-        return MetatheoremReport(
-            "representation_existence", ante, applicable, True, checked
-        )
-    a = int(np.flatnonzero(viol)[0])
-    w = RelationWitness(
-        (t.sets[a],), "no member is exactly as acceptable as the whole set"
-    )
-    return MetatheoremReport(
-        "representation_existence", ante, applicable, False, checked, witness=w
-    )
-
-
-def check_member_equivalence(rel: MultiBelievabilityRelation) -> MetatheoremReport:
-    """For each member: adjoining it leaves the set's rank unchanged iff
-    the member alone is exactly as acceptable as the set.
-
-    Sound under transitivity and counter dominance.
-    """
-    ante = _antecedents(
-        rel,
-        (
-            RelationPostulateId.TRANSITIVITY,
-            RelationPostulateId.COUNTER_DOMINANCE,
-        ),
-    )
-    u = rel.universe
-    t = _tables(u)
-    m = rel.table_over(u)
-    eq = m & m.T
-    rows = np.arange(len(t.sets))[:, None]
-    # the singleton of member j of set i, and the adjunction of that
-    # member, which is no larger than the set and so lies in the
-    # universe; empty slots read cells that valid discards
-    single = t.singleton_index[t.member]
-    adjoined = t.conj_index[rows, single]
-    viol = t.valid & (eq[rows, adjoined] != eq[single, rows])
-    checked = int(t.sizes.sum())
-    applicable = all(ante.values())
-    first = None
-    if viol.any():
-        i, j = _first_true(viol)
-        first = RelationWitness(
-            (t.sets[i], t.sets[single[i, j]]),
-            "adjunction test and member test disagree",
-        )
-    return MetatheoremReport(
-        "member_equivalence", ante, applicable, first is None, checked, witness=first
-    )
-
-
-def check_equivalence_preserves_outcome(op: ChoiceOperator) -> MetatheoremReport:
-    """For the ordering read off an operator: equally ranked inputs get
-    identical outcomes."""
-    rel = derive_mb_from_operator(op)
-    m = rel.table_over(op.universe)
-    k = op._kernel()
-    eq = m & m.T
-    neq_out = k.out[:, None] != k.out[None, :]
-    viol = eq & neq_out
-    t = _tables(op.universe)
-    n = len(t.sets)
-    if not viol.any():
-        return MetatheoremReport(
-            "equivalence_preserves_outcome", {}, True, True, n * n
-        )
-    a, b = _first_true(viol)
-    w = RelationWitness(
-        (t.sets[a], t.sets[b]), "equally ranked inputs with different outcomes"
-    )
-    return MetatheoremReport(
-        "equivalence_preserves_outcome", {}, True, False, n * n, witness=w
-    )
 
 
 # ---------------------------------------------------------------------------

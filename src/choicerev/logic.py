@@ -75,6 +75,18 @@ class LanguageSpec:
                 f"got {self.atom_count}"
             )
 
+    def require_own(self, c: "SentenceClass", where: str) -> None:
+        """Refuse a class over another language: its mask names another
+        class of this one, so a table over this language would answer
+        for that class.  Languages differ only in their atom count, which
+        is compared directly: dataclass equality costs five times as
+        much."""
+        if c.lang.atom_count != self.atom_count:
+            raise LanguageError(
+                f"class over {c.lang.atom_count} atoms in {where} over "
+                f"{self.atom_count} atoms"
+            )
+
 
 def valuation_to_bits(valuation: int, lang: LanguageSpec) -> str:
     """Encode a valuation as a bitstring; char i is the truth value of atom i."""
@@ -353,6 +365,7 @@ class SentenceClass:
         return self.mask & ~other.mask == 0
 
     def conj(self, other: "SentenceClass") -> "SentenceClass":
+        self.lang.require_own(other, "a conjunction")
         return SentenceClass(self.lang, self.mask & other.mask)
 
     def neg(self) -> "SentenceClass":
@@ -469,11 +482,8 @@ class InputSet:
         for it in items:
             if not isinstance(it, SentenceClass):
                 it = class_of(it, lang)
-            elif it.lang != lang:
-                raise LanguageError(
-                    f"class over {it.lang.atom_count} atoms in an input set over "
-                    f"{lang.atom_count} atoms"
-                )
+            else:
+                lang.require_own(it, "an input set")
             out.add(it)
         return cls(lang, frozenset(out))
 

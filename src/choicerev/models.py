@@ -16,7 +16,6 @@ preferred to the inconsistent one).
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -276,33 +275,6 @@ def generate_model(
     raise GenerationError(
         f"no valid model of size {size} with flags {flags} at atom_count={lang.atom_count}"
     )
-
-
-def enumerate_models(lang: LanguageSpec) -> list[RelationalModel]:
-    """Every valid model over the language (consistent K, no duplicates).
-
-    Exhaustive over all ordered outcome lists; only feasible for tiny
-    languages (atom_count=1 gives 48 models).
-    """
-    if lang.atom_count > 1:
-        raise LanguageSpecTooLarge(lang)
-    sets = [BeliefSet(lang, m) for m in range(lang.full_mask + 1)]
-    out = []
-    for k in sets:
-        if not k.is_consistent:
-            continue
-        others = [b for b in sets if b != k]
-        for r in range(len(others) + 1):
-            for tail in itertools.permutations(others, r):
-                out.append(RelationalModel(lang, k, (k, *tail)))
-    return out
-
-
-class LanguageSpecTooLarge(ValueError):
-    def __init__(self, lang: LanguageSpec):
-        super().__init__(
-            f"exhaustive model enumeration only supported at atom_count=1, got {lang.atom_count}"
-        )
 
 
 def save_model(m: RelationalModel, path: str) -> None:

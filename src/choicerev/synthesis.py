@@ -29,6 +29,7 @@ import numpy as np
 from . import graphs
 from .believability import (
     QUASI_LINEAR_POSTULATES,
+    STANDARD_POSTULATES,
     BelievabilityRelation,
     MultiBelievabilityRelation,
     RelationOperationError,
@@ -62,9 +63,6 @@ from .operators import (
     _tables,
     check_postulates,
 )
-
-THEOREM_IDS = (1, 2, 3, 4, 5)
-
 
 class SynthesisError(ValueError):
     def __init__(self, message: str, reports: Optional[dict] = None):
@@ -357,7 +355,7 @@ def verify_roundtrip_relation(op: ChoiceOperator, standard: bool = False) -> Rou
     if failed is not None:
         return failed
     mb = derive_mb_from_operator(op)
-    wanted = tuple(RelationPostulateId) if standard else _CORE_RELATION_SET
+    wanted = STANDARD_POSTULATES if standard else _CORE_RELATION_SET
     for p in wanted:
         rep = check_relation_postulate(mb, p)
         if not rep.holds:
@@ -425,7 +423,7 @@ def verify_translation(
                 )
         lifted = lift(r, max_input_size)
         # the first postulate the lift fails; the checks after it are not run
-        bad = next((p.value for p in RelationPostulateId
+        bad = next((p.value for p in STANDARD_POSTULATES
                     if not check_relation_postulate(lifted, p).holds), None)
         if bad is not None:
             return RoundTripReport(
@@ -455,7 +453,7 @@ def verify_translation(
 
     u = r.universe
     header = _universe_header(u)
-    bad = next((p.value for p in RelationPostulateId
+    bad = next((p.value for p in STANDARD_POSTULATES
                 if not check_relation_postulate(r, p).holds), None)
     if bad is not None:
         return RoundTripReport(
@@ -572,6 +570,7 @@ class SententialOperator:
         return self.K.lang
 
     def outcome(self, c: SentenceClass) -> BeliefSet:
+        self.lang.require_own(c, "an operator")
         return self.outputs[c.mask]
 
     @classmethod

@@ -1,6 +1,7 @@
 """Acceptability orderings: postulates, lift/project, derivation, revision."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -16,21 +17,13 @@ from choicerev.believability import (
     RelationFormatError,
     RelationOperationError,
     RelationPostulateId,
-    check_coupling_collapse,
-    check_equivalence_preserves_outcome,
-    check_member_equivalence,
-    check_member_reduction,
     check_relation_postulate,
-    check_representation_existence,
     derive_mb_from_operator,
-    enumerate_quasi_linear,
     is_quasi_linear,
-    is_standard,
     lift,
     load_relation,
     project,
     random_quasi_linear,
-    representation_element,
     revise_via_mb,
     save_relation,
 )
@@ -50,11 +43,14 @@ from choicerev.operators import (
     ChoiceOperator,
     OutsideUniverseError,
     UniverseSpec,
+    _tables,
     enumerate_universe,
     passes,
     random_operator,
 )
+from choicerev.synthesis import footnote7_operator
 from test_logic import conj_all
+from test_relation_references import reference_member_equivalence
 
 
 def sc(lang, mask):
@@ -63,6 +59,76 @@ def sc(lang, mask):
 
 def single_set(lang, mask):
     return InputSet.of(lang, SentenceClass(lang, mask))
+
+
+def enumerate_quasi_linear(lang):
+    """Every relation passing the seven quasi-linear postulates, by rows:
+    each assignment of the classes to levels, read as layers."""
+    c = lang.full_mask + 1
+    rels = {
+        BelievabilityRelation.from_layers(
+            lang, [[m for m in range(c) if levels[m] == lv] for lv in sorted(set(levels))]
+        )
+        for levels in itertools.product(range(c), repeat=c)
+    }
+    return sorted((r for r in rels if is_quasi_linear(r)), key=lambda r: r.rows)
+
+
+def is_standard(rel):
+    return all(check_relation_postulate(rel, p).holds for p in STANDARD_POSTULATES)
+
+
+def representation_element(mb, a):
+    """A member exactly as acceptable as the nonempty set A, the smallest
+    encoding first; RelationOperationError when there is none."""
+    if len(a) == 0:
+        raise ValueError("input set must be nonempty")
+    found = [c for c in a if mb.equiv(InputSet.of(a.lang, c), a)]
+    if not found:
+        raise RelationOperationError("no representation element")
+    return min(found, key=lambda c: c.encode())
+
+
+def member_reduction_failures(rel):
+    """The cells (A, B), both nonempty, where A >= B differs from "some
+    {x} with x in A is >= B" or from "A >= {y} for every y in B": the
+    singleton rows and columns gathered at every member slot."""
+    u = rel.universe
+    t = _tables(u)
+    m = rel.table_over(u)
+    single = t.singleton_index[t.member]
+    some = (m[single] & t.valid[:, :, None]).any(axis=1)
+    every = (m[:, single] | ~t.valid).all(axis=2)
+    nonempty = t.sizes > 0
+    return np.argwhere(nonempty[:, None] & nonempty & ((m != some) | (m != every)))
+
+
+def failing_lemmas(rel):
+    """The lemmas of the representation proofs that fail on rel, each
+    checked from its definition.  Coupling collapse: completeness holds,
+    and weak coupling and coupling agree."""
+    comp, wc, cp = (
+        check_relation_postulate(rel, p).holds
+        for p in (RelationPostulateId.COMPLETENESS, RelationPostulateId.WEAK_COUPLING,
+                  RelationPostulateId.COUPLING)
+    )
+
+    def represented(a):
+        try:
+            representation_element(rel, a)
+        except RelationOperationError:
+            return False
+        return True
+
+    holds = {
+        "member_reduction": not len(member_reduction_failures(rel)),
+        "coupling_collapse": comp and wc == cp,
+        "representation_existence": all(
+            represented(a) for a in _tables(rel.universe).sets if len(a)
+        ),
+        "member_equivalence": not reference_member_equivalence(rel),
+    }
+    return [name for name, ok in holds.items() if not ok]
 
 
 def table_of(u, fn):
@@ -331,24 +397,19 @@ def test_rank_trap_antecedents(rank_trap):
     assert not union.holds
 
 
-def test_rank_trap_breaks_member_reduction(rank_trap, lang1):
-    report = check_member_reduction(rank_trap)
-    assert not report.applicable
-    assert report.antecedents["union"] is False
-    assert not report.holds
-    assert report.witness is not None
+def test_rank_trap_breaks_member_reduction(rank_trap, lang1, u1):
     # the concrete failing instance
     both = parse_input_set("p0, ~p0", lang1)
     taut = parse_input_set("T", lang1)
+    t = _tables(u1)
+    assert [t.lookup(both), t.lookup(taut)] in member_reduction_failures(rank_trap).tolist()
     assert rank_trap.holds(both, taut)
     assert not rank_trap.holds(parse_input_set("p0", lang1), taut)
     assert not rank_trap.holds(parse_input_set("~p0", lang1), taut)
 
 
 def test_rank_trap_has_no_representation_element(rank_trap, lang1):
-    report = check_representation_existence(rank_trap)
-    assert not report.applicable
-    assert not report.holds
+    assert "representation_existence" in failing_lemmas(rank_trap)
     with pytest.raises(RelationOperationError):
         representation_element(rank_trap, parse_input_set("p0, ~p0", lang1))
 
@@ -356,21 +417,15 @@ def test_rank_trap_has_no_representation_element(rank_trap, lang1):
 def test_metatheorems_on_standard_relations(lang2, u2):
     for seed in range(4):
         mb = lift(random_quasi_linear(seed, lang2), u2.max_input_size)
-        for checker in (
-            check_member_reduction,
-            check_coupling_collapse,
-            check_representation_existence,
-            check_member_equivalence,
-        ):
-            report = checker(mb)
-            assert report.applicable, report.name
-            assert report.holds, (report.name, report.witness)
-            assert report.checked > 0
+        assert is_standard(mb)
+        assert failing_lemmas(mb) == []
 
 
 def test_equivalence_preserves_outcome(induced_op2):
-    report = check_equivalence_preserves_outcome(induced_op2)
-    assert report.holds
+    """Equally ranked inputs of the derived relation get identical outcomes."""
+    m = derive_mb_from_operator(induced_op2).table_over(induced_op2.universe)
+    out = induced_op2._kernel().out
+    assert not (m & m.T & (out[:, None] != out[None, :])).any()
 
 
 def test_single_relation_json_roundtrip(tmp_path, strict_order):
@@ -459,6 +514,27 @@ def test_other_language_input_is_outside_the_universe(call):
     op = random_operator(0, UniverseSpec(LanguageSpec(2), 2))
     with pytest.raises(OutsideUniverseError):
         call(op, derive_mb_from_operator(op), parse_input_set("p0", LanguageSpec(1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda r, op: r.holds(sc(LanguageSpec(3), 5), sc(r.lang, 0)),
+     "class over 3 atoms in a relation over 2 atoms"),
+    (lambda r, op: r.holds(sc(r.lang, 15), sc(LanguageSpec(1), 1)),
+     "class over 1 atoms in a relation over 2 atoms"),
+    (lambda r, op: r.equiv(sc(LanguageSpec(1), 1), sc(r.lang, 1)),
+     "class over 1 atoms in a relation over 2 atoms"),
+    (lambda r, op: sc(r.lang, 5).conj(sc(LanguageSpec(1), 1)),
+     "class over 1 atoms in a conjunction over 2 atoms"),
+    (lambda r, op: op.outcome(sc(r.lang, 5)),
+     "class over 2 atoms in an operator over 3 atoms"),
+], ids=["holds-3-atoms", "holds-1-atom", "equiv", "conj", "sentential-outcome"])
+def test_class_over_another_language_is_refused(call, message):
+    """A class's mask names another class of another language, so a
+    table read by it would answer for that class: the 2-atom relation,
+    a 2-atom class and the 3-atom footnote 7 table refuse it."""
+    with pytest.raises(LanguageError) as info:
+        call(random_quasi_linear(3, LanguageSpec(2)), footnote7_operator())
+    assert str(info.value) == message
 
 
 def test_lift_answers_inputs_of_its_own_language_only():

@@ -24,6 +24,7 @@ from choicerev.logic import (
     format_formula,
     parse_input_set,
 )
+from choicerev.believability import lift, random_quasi_linear
 from choicerev.models import generate_model, ModelFlags
 from choicerev.operators import (
     BASIC_POSTULATES,
@@ -69,6 +70,56 @@ def test_universe_cap():
         UniverseSpec(LanguageSpec(3), 2)
     with pytest.raises(LanguageError):
         UniverseSpec(LanguageSpec(1), -1)
+
+
+# Restriction to a smaller size cap.  Scan order is size-ascending, so
+# the universe at k is a prefix of the one at k+1 and a table over it is
+# the top-left block, or the prefix, of the larger table.
+@pytest.fixture(scope="module")
+def restriction_models(lang2):
+    return [
+        generate_model(seed, lang2, 8, ModelFlags(x3, leq3))
+        for seed in range(12)
+        for x3 in (False, True)
+        for leq3 in (False, True)
+    ]
+
+
+def test_universes_are_prefixes(lang2):
+    sets = [enumerate_universe(UniverseSpec(lang2, k)) for k in (1, 2, 3)]
+    for small, large in zip(sets, sets[1:]):
+        assert large[: len(small)] == small
+
+
+def test_lift_and_model_tables_restrict_to_prefixes(lang2, restriction_models):
+    sizes = {k: UniverseSpec(lang2, k).size for k in (1, 2)}
+    for seed in range(12):
+        base = random_quasi_linear(seed, lang2)
+        full = lift(base, 3).table_over(UniverseSpec(lang2, 3))
+        for k, n in sizes.items():
+            small = lift(base, k)
+            assert np.array_equal(small.table_over(small.universe), full[:n, :n])
+    for m in restriction_models:
+        full = ChoiceOperator.from_model(m, 3).outputs
+        for k, n in sizes.items():
+            assert ChoiceOperator.from_model(m, k).outputs == full[:n]
+
+
+def test_holding_reports_hold_on_restrictions(lang2, restriction_models):
+    """Every postulate is a statement over all inputs of the universe, so
+    one that holds at n=697 holds on the first 17 and 137 inputs."""
+    u3 = UniverseSpec(lang2, 3)
+    ops = [ChoiceOperator.from_model(m, 3) for m in restriction_models]
+    ops += [random_operator(seed, u3) for seed in range(6)]
+    held = 0
+    for op in ops:
+        ps = [p for p, r in check_postulates(op).items() if r.holds]
+        for k in (1, 2):
+            u = UniverseSpec(lang2, k)
+            small = ChoiceOperator(u, op.K, op.outputs[: u.size])
+            assert all(check_postulate(small, p).holds for p in ps), (k, ps)
+            held += len(ps)
+    assert held > len(ops) * len(BASIC_POSTULATES)
 
 
 def test_theory_meets_brute_force(lang2):

@@ -37,10 +37,11 @@ is too slow, the reference is the per-class loop the single-level checker
 ran before it shared the set-level one (`class_loop_weak_coupling`); the
 other single-level references run there as they are.
 
-The member-equivalence metatheorem has a reference too: for each set
-and each of its members in scan order, the adjunction of the member,
-built with pairwise_conj, keeps the set's rank exactly when the member
-alone is as acceptable as the set.
+The member-equivalence lemma of the representation proofs is checked
+from its definition here (test_believability's lemma checks use it): for
+each set and each of its members in scan order, the adjunction of the
+member, built with pairwise_conj, keeps the set's rank exactly when the
+member alone is as acceptable as the set.
 """
 
 import functools
@@ -71,7 +72,6 @@ from choicerev.believability import (
     RelationReport,
     RelationWitness,
     _check_multi,
-    check_member_equivalence,
     check_relation_postulate,
     derive_mb_from_operator,
     lift,
@@ -763,56 +763,42 @@ def test_multi_set_checkers_match_references_at_697():
     assert verdicts == {MN: True, MX: False, CM: True, DT: True}
 
 
-def reference_member_equivalence(rel):
-    """(checked, failing) for check_member_equivalence: one instance per
-    (set, member), and every failing pair in scan order, members in
-    canonical order."""
-    u = rel.universe
+@functools.lru_cache(maxsize=None)
+def _member_adjunctions(u):
+    """(set, adjunction, singleton) indices of every set and member of
+    the universe in scan order, the adjunction built with pairwise_conj."""
     t = _tables(u)
-    m = rel.table_over(u)
-    eq = m & m.T
-    checked, failing = 0, []
+    out = []
     for i, a in enumerate(t.sets):
         for c in a:
             single = InputSet.of(u.lang, c)
-            j = t.index[pairwise_conj(a, single).mask_tuple]
-            s = t.index[single.mask_tuple]
-            checked += 1
-            if bool(eq[i, j]) != bool(eq[s, i]):
-                failing.append((a, single))
-    return checked, failing
+            out.append((i, t.index[pairwise_conj(a, single).mask_tuple], t.index[single.mask_tuple]))
+    return out
+
+
+def reference_member_equivalence(rel):
+    """Every (set, singleton of a member) pair, in scan order, where the
+    adjunction test and the member test disagree."""
+    u = rel.universe
+    sets = _tables(u).sets
+    m = rel.table_over(u)
+    eq = (m & m.T).tolist()
+    return [(sets[i], sets[s]) for i, j, s in _member_adjunctions(u) if eq[i][j] != eq[s][i]]
 
 
 @pytest.mark.parametrize("n", [16, 17, 137])
-def test_member_equivalence_matches_reference(n):
-    """Random tables at five densities and two lifts: the same verdict,
-    count and first witness as the loop.  With singletons only (n=17)
-    every adjunction is the set itself, so the check always holds; at
-    n=16 and 137 it fails too.  At n=16 some first failing set has two
-    failing members, so the member order inside a set decides the
-    witness."""
+def test_member_equivalence_reference_verdicts(n):
+    """Random tables at five densities and two lifts.  With singletons
+    only (n=17) every adjunction is the set itself, so the check always
+    holds; at n=16 and 137 it fails too."""
     u = _universe(n)
     rng = np.random.default_rng(n)
     rels = [lift(random_quasi_linear(n + s, u.lang), u.max_input_size) for s in range(2)]
     for density in (0.3, 0.6, 0.9, 0.97, 0.99):
         rels += [MultiBelievabilityRelation.from_table(u, rng.random((n, n)) < density)
                  for _ in range(5)]
-    verdicts, member_order = set(), False
-    for rel in rels:
-        got = check_member_equivalence(rel)
-        checked, failing = reference_member_equivalence(rel)
-        assert got.checked == checked
-        assert got.holds == (not failing)
-        if failing:
-            want = RelationWitness(failing[0], "adjunction test and member test disagree")
-            assert got.witness.to_dict() == want.to_dict()
-            if len(failing) > 1 and failing[1][0] == failing[0][0]:
-                member_order = True
-        else:
-            assert got.witness is None
-        verdicts.add(got.holds)
+    verdicts = {not reference_member_equivalence(rel) for rel in rels}
     assert verdicts == ({True} if n == 17 else {True, False})
-    assert member_order or n != 16
 
 
 # Every relation postulate report on the corpus below, and every round-trip

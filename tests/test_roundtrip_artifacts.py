@@ -13,6 +13,7 @@ import hashlib
 import json
 import numpy as np
 import pytest
+from test_believability import is_standard
 from test_conjunction import _universe
 from test_model_table import _wrong_models
 from test_relation_tables import artifact_reference, dumps
@@ -21,7 +22,6 @@ from choicerev import synthesis
 from choicerev.believability import (
     MultiBelievabilityRelation,
     derive_mb_from_operator,
-    is_standard,
     lift,
     project,
     random_quasi_linear,

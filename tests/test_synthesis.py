@@ -7,12 +7,12 @@ import time
 
 import numpy as np
 import pytest
+from test_believability import is_standard
 from test_kernel import _first_mixed_loop
 
 from choicerev.believability import (
     BelievabilityRelation,
     derive_mb_from_operator,
-    is_standard,
     random_quasi_linear,
 )
 from choicerev.logic import (
@@ -459,9 +459,10 @@ def _sentential_regularity(op):
     """(holds, checked, first witness): an input that some input's outcome
     contains is in its own outcome."""
     classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    out = [op.outcome(x) for x in classes]
     for x in classes:
         for y in classes:
-            if entails(op.outcome(y), x) and not entails(op.outcome(x), x):
+            if entails(out[y.mask], x) and not entails(out[x.mask], x):
                 return False, len(classes) ** 2, (x, y)
     return True, len(classes) ** 2, None
 
@@ -470,12 +471,13 @@ def _sentential_reciprocity(op):
     """(holds, checked, first witness): two inputs each in the other's
     outcome have the same outcome."""
     classes = [SentenceClass(op.lang, x) for x in range(op.lang.full_mask + 1)]
+    out = [op.outcome(x) for x in classes]
     for x in classes:
         for y in classes:
             if (
-                entails(op.outcome(y), x)
-                and entails(op.outcome(x), y)
-                and op.outcome(x) != op.outcome(y)
+                entails(out[y.mask], x)
+                and entails(out[x.mask], y)
+                and out[x.mask] != out[y.mask]
             ):
                 return False, len(classes) ** 2, (x, y)
     return True, len(classes) ** 2, None
