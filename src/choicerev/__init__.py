@@ -19,7 +19,6 @@ from .logic import (
     ParseError,
     SentenceClass,
     class_of,
-    parse_formula,
     parse_input_set,
 )
 from .descriptors import (

@@ -351,11 +351,11 @@ def _cmd_gen(args) -> int:
     rel = random_quasi_linear(args.seed, lang)
     if args.out:
         save_relation(rel, args.out)
-    payload = {"header": _header(args), "relation": relation_to_json(rel)}
-    _emit(args, payload, [
-        f"quasi-linear relation over {rel.class_count} classes, seed {args.seed}"
-        + (f" -> {args.out}" if args.out else "")
-    ])
+    if args.format == "json":
+        _print_relation_json({"header": _header(args)}, rel)
+    else:
+        print(f"quasi-linear relation over {rel.class_count} classes, seed {args.seed}"
+              + (f" -> {args.out}" if args.out else ""))
     return 0
 
 

@@ -8,7 +8,7 @@ disjunction of B(phi) over phi in A; a belief set satisfies it exactly
 when its theory meets A.
 
 Concrete syntax:  B(p0) & !B(p1 -> p0), members of a composite separated
-by commas.  The connectives are the formula grammar's (logic.py), with
+by commas.  The connectives are the sentence grammar's (logic.py), with
 ! for negation, parsed from the same token list; this module adds only
 the B(formula) leaf and the composite.
 """
@@ -32,8 +32,6 @@ from .logic import (
     _tokens,
     class_of,
     entails,
-    format_formula,
-    parse_formula,
 )
 
 
@@ -174,7 +172,7 @@ def formula_for_class(c: SentenceClass) -> str:
     """Readable source text denoting exactly this class."""
     text = _class_text(c)
     # sanity: the text must parse back to the same class
-    assert class_of(parse_formula(text, c.lang), c.lang) == c
+    assert class_of(text, c.lang) == c
     return text
 
 
@@ -195,5 +193,4 @@ __all__ = [
     "format_molecular",
     "format_descriptor",
     "formula_for_class",
-    "format_formula",
 ]

@@ -1,15 +1,15 @@
-"""Finite propositional core: formulas, sentence classes, belief sets.
+"""Finite propositional core: sentence classes, belief sets, input sets.
 
 Everything downstream works over a language with a small fixed number of
 atoms (p0, p1, ...).  A valuation is an int in [0, 2**atom_count) whose
-bit i is the truth value of atom i.  A formula denotes the set of
+bit i is the truth value of atom i.  A sentence denotes the set of
 valuations satisfying it, packed into an int bitmask (bit v set iff
-valuation v is a model).  Two formulas are interchangeable for every
+valuation v is a model).  Two sentences are interchangeable for every
 operation in this package exactly when they have the same mask, so the
-mask itself serves as the canonical sentence-class identity.  Source
+mask is the one form a sentence takes here: its sentence class.  Source
 text goes straight to that mask: one regex splits the text into one
 token list, one precedence-climbing core parses it, and a grammar whose
-constructors are int operations builds the mask, with no formula tree
+constructors are int operations builds the mask, with no syntax tree
 and no per-valuation evaluation.
 
 Belief sets are deductively closed theories, represented by their set of
@@ -100,81 +100,23 @@ def bits_to_valuation(bits: str, lang: LanguageSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Formula syntax
+# Sentence syntax
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Atom:
-    index: int
-
-
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class Bottom:
-    pass
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Union[Atom, Top, Bottom, Not, And, Or, Implies]
-
-
-def evaluate(formula: Formula, valuation: int) -> bool:
-    if isinstance(formula, Atom):
-        return bool(valuation >> formula.index & 1)
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bottom):
-        return False
-    if isinstance(formula, Not):
-        return not evaluate(formula.child, valuation)
-    if isinstance(formula, And):
-        return evaluate(formula.left, valuation) and evaluate(formula.right, valuation)
-    if isinstance(formula, Or):
-        return evaluate(formula.left, valuation) or evaluate(formula.right, valuation)
-    if isinstance(formula, Implies):
-        return not evaluate(formula.left, valuation) or evaluate(formula.right, valuation)
-    raise TypeError(f"not a formula: {formula!r}")
-
 
 class _Grammar:
     """One syntax over the shared connectives.
 
-    A grammar names its negation character, its four node constructors
-    (also the node classes the renderer dispatches on), its leaf table,
-    a leaf rule and a leaf renderer.  The leaf table gives, per atom
-    count, the node of each leaf token of that language.  The leaf rule
-    gets a token the table lacks, with the grammar, the token list, the
-    text and the language, and returns a node, or None when the token
-    starts no leaf.  Everything else, from precedence to error messages,
-    is `_expression` and `format`.  The constructors may also be plain
-    functions of the parsed children, as in `_MASK`, a grammar that
-    builds values and renders nothing.
+    A grammar names its negation character, its four constructors of the
+    parsed children, its leaf table, a leaf rule and a leaf renderer.
+    The leaf table gives, per atom count, the value of each leaf token of
+    that language.  The leaf rule gets a token the table lacks, with the
+    grammar, the token list, the text and the language, and returns a
+    value, or None when the token starts no leaf.  Everything else, from
+    precedence to error messages, is `_expression` and `format`.  Two
+    grammars exist: `_MASK`, whose constructors are int operations, so
+    a sentence parses straight to its class mask and nothing renders;
+    and the descriptor grammar (descriptors.py), whose constructors are
+    node classes, which `format` dispatches on.
     """
 
     def __init__(self, negation, not_, and_, or_, implies, leaves, leaf, leaf_text):
@@ -270,14 +212,8 @@ def _expression(toks: list[str], text: str, lang: LanguageSpec, g: _Grammar, lev
 
 
 def _sentence(toks: list[str], text: str, lang: LanguageSpec) -> "SentenceClass":
-    """The class of the formula on top of `toks`, parsed straight to its mask."""
+    """The class of the sentence on top of `toks`, parsed straight to its mask."""
     return SentenceClass(lang, _expression(toks, text, lang, _MASK) & lang.full_mask)
-
-
-def _leaf_table(top, bottom, atoms) -> tuple[dict, ...]:
-    """Per atom count k, the leaves T, F and p0 .. p(k-1): top, bottom, atoms[i]."""
-    return tuple({"T": top, "F": bottom, **{f"p{i}": atoms[i] for i in range(k)}}
-                 for k in range(MAX_ATOMS + 1))
 
 
 def _atom_leaf(g: _Grammar, tok: str, toks: list[str], text: str, lang: LanguageSpec):
@@ -295,40 +231,17 @@ def _atom_leaf(g: _Grammar, tok: str, toks: list[str], text: str, lang: Language
     return g.leaves[lang.atom_count][f"p{index}"]
 
 
-def _formula_leaf_text(node: Formula) -> str:
-    if isinstance(node, Atom):
-        return f"p{node.index}"
-    if isinstance(node, Top):
-        return "T"
-    if isinstance(node, Bottom):
-        return "F"
-    raise TypeError(f"not a formula: {node!r}")
-
-
-_FORMULA = _Grammar("~", Not, And, Or, Implies,
-                    _leaf_table(Top(), Bottom(), tuple(map(Atom, range(MAX_ATOMS)))),
-                    _atom_leaf, _formula_leaf_text)
-
 # atom i's models among all 2**MAX_ATOMS valuations; a smaller language's
 # mask is the low full_mask bits of it.  Python ints are unbounded, so ~
 # stays exact until `_sentence` cuts the result to full_mask.
 _ATOM_MASKS = tuple(
     sum(1 << v for v in range(1 << MAX_ATOMS) if v >> i & 1) for i in range(MAX_ATOMS)
 )
+# per atom count k, the masks of the leaves T, F and p0 .. p(k-1)
 _MASK = _Grammar("~", operator.invert, operator.and_, operator.or_, lambda a, b: ~a | b,
-                 _leaf_table(-1, 0, _ATOM_MASKS), _atom_leaf, None)
-
-
-def parse_formula(text: str, lang: LanguageSpec) -> Formula:
-    toks = _tokens(text)
-    formula = _expression(toks, text, lang, _FORMULA)
-    _finish(toks, text)
-    return formula
-
-
-def format_formula(formula: Formula) -> str:
-    """Render with minimal parentheses; parses back to the same tree."""
-    return _FORMULA.format(formula)
+                 tuple({"T": -1, "F": 0, **{f"p{i}": _ATOM_MASKS[i] for i in range(k)}}
+                       for k in range(MAX_ATOMS + 1)),
+                 _atom_leaf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +275,7 @@ class SentenceClass:
         return tuple(v for v in self.lang.valuations() if self.mask >> v & 1)
 
     def entails(self, other: "SentenceClass") -> bool:
+        self.lang.require_own(other, "an entailment")
         return self.mask & ~other.mask == 0
 
     def conj(self, other: "SentenceClass") -> "SentenceClass":
@@ -383,22 +297,12 @@ class SentenceClass:
         return cls(lang, mask)
 
 
-def class_of(formula: Union[Formula, str], lang: LanguageSpec) -> SentenceClass:
-    """Map a formula to its sentence class.
-
-    Source text is parsed straight to its mask, with no tree; a tree is
-    evaluated once per valuation.
-    """
-    if isinstance(formula, str):
-        toks = _tokens(formula)
-        c = _sentence(toks, formula, lang)
-        _finish(toks, formula)
-        return c
-    mask = 0
-    for v in lang.valuations():
-        if evaluate(formula, v):
-            mask |= 1 << v
-    return SentenceClass(lang, mask)
+def class_of(text: str, lang: LanguageSpec) -> SentenceClass:
+    """The sentence class of source text, parsed straight to its mask."""
+    toks = _tokens(text)
+    c = _sentence(toks, text, lang)
+    _finish(toks, text)
+    return c
 
 
 @dataclass(frozen=True, order=True)
@@ -421,6 +325,7 @@ class BeliefSet:
         return self.mask != 0
 
     def believes(self, c: SentenceClass) -> bool:
+        self.lang.require_own(c, "a belief set")
         return self.mask & ~c.mask == 0
 
     def models(self) -> tuple[int, ...]:
@@ -477,7 +382,7 @@ class InputSet:
     classes: frozenset[SentenceClass]
 
     @classmethod
-    def of(cls, lang: LanguageSpec, *items: Union[SentenceClass, Formula, str]) -> "InputSet":
+    def of(cls, lang: LanguageSpec, *items: Union[SentenceClass, str]) -> "InputSet":
         out = set()
         for it in items:
             if not isinstance(it, SentenceClass):

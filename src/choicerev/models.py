@@ -28,7 +28,7 @@ from .descriptors import (
     satisfies,
     satisfies_composite,
 )
-from .logic import BeliefSet, InputSet, LanguageSpec
+from .logic import BeliefSet, InputSet, LanguageError, LanguageSpec
 
 _T = TypeVar("_T")
 
@@ -175,8 +175,15 @@ def choice_revise_via_model(m: RelationalModel, a: InputSet) -> BeliefSet:
     for a 12-outcome two-atom model on one 2 GHz virtual CPU.  Whole
     tables come from `ChoiceOperator.from_model`, which reads every
     input's revision off one gather and is checked against this function.
+    An input over another language is refused: its members' masks name
+    other classes of the model's language.
     """
     m.require_valid()
+    if a.lang.atom_count != m.lang.atom_count:
+        raise LanguageError(
+            f"input set over {a.lang.atom_count} atoms in a revision over "
+            f"{m.lang.atom_count} atoms"
+        )
     if len(a) == 0:
         return m.K
     return descriptor_revise(m, choice_descriptor(a))

@@ -97,18 +97,12 @@ class _Tables:
                 sets.append(InputSet(lang, frozenset(classes[i] for i in combo)))
         self.sets = sets
         self.index = {s.mask_tuple: i for i, s in enumerate(sets)}
-        n = len(sets)
-        maxk = max(1, u.max_input_size)
-        self.member = np.zeros((n, maxk), dtype=np.int64)
-        self.valid = np.zeros((n, maxk), dtype=bool)
-        for i, s in enumerate(sets):
-            for j, m in enumerate(s.mask_tuple):
-                self.member[i, j] = m
-                self.valid[i, j] = True
-        self.sizes = self.valid.sum(axis=1)
-        self.empty_index = self.index[()]
         # members by slot, with the empty slots pointing at an extra class c
-        self.slot = np.where(self.valid, self.member, c)
+        self.slot = np.full((len(sets), max(1, u.max_input_size)), c, dtype=np.int64)
+        for i, s in enumerate(sets):
+            self.slot[i, :len(s.classes)] = s.mask_tuple
+        self.sizes = (self.slot < c).sum(axis=1)
+        self.empty_index = self.index[()]
         # one bit per sentence class: sets looked up by their class bitset
         self._by_bits = {sum(1 << m for m in s.mask_tuple): i for i, s in enumerate(sets)}
         # one object per distinct passing report and equivalence report on

@@ -36,7 +36,7 @@ from choicerev.logic import (
     class_of,
     parse_input_set,
 )
-from choicerev.models import ModelFlags, generate_model
+from choicerev.models import ModelFlags, choice_revise_via_model, generate_model
 from choicerev.operators import (
     BASIC_POSTULATES,
     SUPPLEMENTARY_POSTULATES,
@@ -96,9 +96,10 @@ def member_reduction_failures(rel):
     u = rel.universe
     t = _tables(u)
     m = rel.table_over(u)
-    single = t.singleton_index[t.member]
-    some = (m[single] & t.valid[:, :, None]).any(axis=1)
-    every = (m[:, single] | ~t.valid).all(axis=2)
+    valid = t.slot < t.u.class_count
+    single = t.singleton_index[np.where(valid, t.slot, 0)]
+    some = (m[single] & valid[:, :, None]).any(axis=1)
+    every = (m[:, single] | ~valid).all(axis=2)
     nonempty = t.sizes > 0
     return np.argwhere(nonempty[:, None] & nonempty & ((m != some) | (m != every)))
 
@@ -527,11 +528,20 @@ def test_other_language_input_is_outside_the_universe(call):
      "class over 1 atoms in a conjunction over 2 atoms"),
     (lambda r, op: op.outcome(sc(r.lang, 5)),
      "class over 2 atoms in an operator over 3 atoms"),
-], ids=["holds-3-atoms", "holds-1-atom", "equiv", "conj", "sentential-outcome"])
+    (lambda r, op: sc(LanguageSpec(1), 1).entails(sc(r.lang, 15)),
+     "class over 2 atoms in an entailment over 1 atoms"),
+    (lambda r, op: BeliefSet(r.lang, 1).believes(sc(LanguageSpec(1), 1)),
+     "class over 1 atoms in a belief set over 2 atoms"),
+    (lambda r, op: choice_revise_via_model(generate_model(1, r.lang, 4),
+                                           InputSet.of(LanguageSpec(1), "p0")),
+     "input set over 1 atoms in a revision over 2 atoms"),
+], ids=["holds-3-atoms", "holds-1-atom", "equiv", "conj", "sentential-outcome",
+        "entails", "believes", "revise-via-model"])
 def test_class_over_another_language_is_refused(call, message):
     """A class's mask names another class of another language, so a
-    table read by it would answer for that class: the 2-atom relation,
-    a 2-atom class and the 3-atom footnote 7 table refuse it."""
+    table or theory read by it would answer for that class: the 2-atom
+    relation, a 1-atom and a 2-atom class, a 2-atom belief set and
+    model, and the 3-atom footnote 7 table refuse it."""
     with pytest.raises(LanguageError) as info:
         call(random_quasi_linear(3, LanguageSpec(2)), footnote7_operator())
     assert str(info.value) == message

@@ -369,6 +369,29 @@ def test_translate_builds_relation_dict_only_to_print_it(tmp_path, relation_file
     assert "translate lift: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_gen_relation_json_streams_without_relation_dict(monkeypatch, capsys, atoms):
+    """`gen relation --format json` prints what json.dumps(payload,
+    sort_keys=True, indent=2) prints for the payload with the relation's
+    dict, through the printer `translate` uses, never building that dict."""
+    import choicerev.cli as cli
+    from choicerev import LanguageSpec, random_quasi_linear
+    from choicerev.believability import relation_to_json
+
+    relation = relation_to_json(random_quasi_linear(11, LanguageSpec(atoms)))
+
+    def refuse(rel):
+        raise AssertionError("relation_to_json called")
+
+    monkeypatch.setattr(cli, "relation_to_json", refuse)
+    assert main(["gen", "relation", "--atoms", str(atoms), "--seed", "11",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    payload = {**json.loads(out), "relation": relation}
+    assert set(payload) == {"header", "relation"}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_check_relation_without_singletons_is_usage_error(tmp_path):
     """A set-level relation over a universe with no singletons
     (max_input_size 0, n=1): minimality cannot be stated there, so `check

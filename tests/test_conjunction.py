@@ -178,10 +178,11 @@ def _reference_counter_dominance_ante(t, lang):
     """ante[a, b] as an n*n*k*k broadcast over member pairs."""
     masks = np.arange(lang.full_mask + 1)
     ent = (masks[:, None] & ~masks[None, :] & lang.full_mask) == 0
-    mem = t.member
+    valid = t.slot < t.u.class_count
+    mem = np.where(valid, t.slot, 0)
     look = ent[mem[None, :, :, None], mem[:, None, None, :]]
-    exists = (look & t.valid[:, None, None, :]).any(axis=3)
-    return (exists | ~t.valid[None, :, :]).all(axis=2)
+    exists = (look & valid[:, None, None, :]).any(axis=3)
+    return (exists | ~valid[None, :, :]).all(axis=2)
 
 
 def _reference_counter_dominance(rel, u):

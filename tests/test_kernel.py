@@ -57,15 +57,17 @@ def _reference_meets(op):
     """meets[a, b]: some member of A_a follows from the outcome of A_b."""
     t = _tables(op.universe)
     x = np.array([o.mask for o in op.outputs], dtype=np.int64)[None, :, None]
-    m = t.member[:, None, :]
-    v = t.valid[:, None, :]
+    valid = t.slot < t.u.class_count
+    m = np.where(valid, t.slot, 0)[:, None, :]
+    v = valid[:, None, :]
     return (((x & ~m) == 0) & v).any(axis=2)
 
 
 def _reference_meets_k(op):
     """meets_k[a]: some member of A_a follows from K, by the per-slot formula."""
     t = _tables(op.universe)
-    return (((np.int64(op.K.mask) & ~t.member) == 0) & t.valid).any(axis=1)
+    valid = t.slot < t.u.class_count
+    return (((np.int64(op.K.mask) & ~np.where(valid, t.slot, 0)) == 0) & valid).any(axis=1)
 
 
 def _loop_meets(op):
@@ -208,8 +210,9 @@ def test_meets_matches_broadcast_and_loop_at_697():
 def _reference_over_members(t, per_class, every):
     """The member/valid broadcast: per_class gathered at every member slot
     of every input, the empty slots masked out, then any or all."""
-    rows = per_class[t.member]
-    valid = t.valid.reshape(t.valid.shape + (1,) * (per_class.ndim - 1))
+    valid = t.slot < t.u.class_count
+    rows = per_class[np.where(valid, t.slot, 0)]
+    valid = valid.reshape(valid.shape + (1,) * (per_class.ndim - 1))
     if every:
         return (rows | ~valid).all(axis=1)
     return (rows & valid).any(axis=1)

@@ -10,29 +10,21 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from choicerev.descriptors import formula_for_class
 from choicerev.logic import (
-    And,
-    Atom,
     BeliefSet,
-    Bottom,
-    Implies,
     InputSet,
     LanguageError,
     LanguageSpec,
-    Not,
-    Or,
     ParseError,
     SentenceClass,
-    Top,
     class_of,
     entails,
     enumerate_belief_sets,
     enumerate_classes,
-    evaluate,
-    format_formula,
-    parse_formula,
     parse_input_set,
 )
+from reference_tree import And, Atom, Bottom, Implies, Not, Or, Top, evaluate, render, tree_class
 
 
 def conj_all(a: InputSet) -> SentenceClass:
@@ -83,37 +75,50 @@ def test_language_bounds():
     LanguageSpec(3).require_exhaustive()
 
 
-def test_parser_precedence(lang2):
+# (text, its reading, the reading with another grouping)
+_GROUPINGS = [
     # ~ binds tighter than &, & tighter than |, | tighter than ->
-    f = parse_formula("~p0 & p1 | p0 -> p1", lang2)
-    g = parse_formula("(((~p0) & p1) | p0) -> p1", lang2)
-    assert class_of(f, lang2) == class_of(g, lang2)
+    ("~p0 & p1 | p0 -> p1", Implies(Or(And(Not(Atom(0)), Atom(1)), Atom(0)), Atom(1)),
+     Not(Implies(Or(And(Atom(0), Atom(1)), Atom(0)), Atom(1)))),
+    ("~p0 & p1", And(Not(Atom(0)), Atom(1)), Not(And(Atom(0), Atom(1)))),
+    ("p0 | p1 & ~p0", Or(Atom(0), And(Atom(1), Not(Atom(0)))),
+     And(Or(Atom(0), Atom(1)), Not(Atom(0)))),
+    ("p1 | p0 -> p0", Implies(Or(Atom(1), Atom(0)), Atom(0)),
+     Or(Atom(1), Implies(Atom(0), Atom(0)))),
     # -> associates right
-    h = parse_formula("p0 -> p1 -> p0", lang2)
-    assert class_of(h, lang2).is_tautology
+    ("p0 -> p1 -> p0", Implies(Atom(0), Implies(Atom(1), Atom(0))),
+     Implies(Implies(Atom(0), Atom(1)), Atom(0))),
+]
+
+
+def test_parser_precedence(lang2):
+    """Each text's class is its reading's, and not the class of the
+    reading with another grouping."""
+    for text, tree, other in _GROUPINGS:
+        assert class_of(text, lang2) == tree_class(tree, lang2) != tree_class(other, lang2)
 
 
 def test_parser_errors(lang2):
     with pytest.raises(ParseError) as exc:
-        parse_formula("p0 &", lang2)
+        class_of("p0 &", lang2)
     assert exc.value.position == 4
     with pytest.raises(ParseError):
-        parse_formula("p7", lang2)
+        class_of("p7", lang2)
     with pytest.raises(ParseError):
-        parse_formula("(p0", lang2)
+        class_of("(p0", lang2)
     with pytest.raises(ParseError):
-        parse_formula("", lang2)
+        class_of("", lang2)
 
 
 def test_constants(lang2):
     assert class_of("T", lang2).is_tautology
     assert class_of("F", lang2).is_contradiction
-    assert class_of(Top(), lang2).mask == lang2.full_mask
-    assert class_of(Bottom(), lang2).mask == 0
 
 
 @st.composite
-def formulas(draw, atom_count=2, max_depth=4):
+def formulas(draw, max_depth=4):
+    """A language of 1 to 4 atoms and a random reference tree over it."""
+    atom_count = draw(st.integers(1, 4))
     lang = LanguageSpec(atom_count)
 
     def build(depth):
@@ -134,15 +139,19 @@ def formulas(draw, atom_count=2, max_depth=4):
 
 @given(formulas())
 def test_format_parse_roundtrip(pair):
+    """`formula_for_class`, the package's sentence renderer, parses back
+    to the class it renders."""
     lang, f = pair
-    text = format_formula(f)
-    assert class_of(parse_formula(text, lang), lang) == class_of(f, lang)
+    c = tree_class(f, lang)
+    assert class_of(formula_for_class(c), lang) == c
 
 
 @given(formulas())
 def test_class_matches_truth_table(pair):
+    """The class of a tree's text holds valuation v exactly when the tree
+    evaluates true under v."""
     lang, f = pair
-    c = class_of(f, lang)
+    c = class_of(render(f), lang)
     for v in lang.valuations():
         assert (c.mask >> v & 1 == 1) == evaluate(f, v)
 

@@ -5,23 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from reference_tree import And, Atom, Bottom, Implies, Not, Or, Top, render
 from test_graphs import _simple_cycles_bounded
 from test_kernel import _reference_meets, _reference_strong_reciprocity
 
 from choicerev.logic import (
-    And,
-    Atom,
     BeliefSet,
-    Bottom,
-    Implies,
     InputSet,
     LanguageError,
     LanguageSpec,
-    Not,
-    Or,
-    Top,
     enumerate_belief_sets,
-    format_formula,
     parse_input_set,
 )
 from choicerev.believability import lift, random_quasi_linear
@@ -328,9 +321,10 @@ def _random_formula(rng, lang, depth):
 
 
 def syntax_differences(adapter, samples, lang, seed, max_input_size=2):
-    """Pairs of AST-distinct but logically identical formula sets on which
-    adapter (formula set -> belief set) answers differently, each as the
-    two sets' sorted formula texts.  A variant wraps its formula, so it
+    """Pairs of syntactically distinct but logically identical formula
+    sets on which adapter (set of formula texts -> belief set) answers
+    differently, each as the two sets' sorted texts.  The formulas are
+    reference trees, rendered to text.  A variant wraps its formula, so it
     is deeper, and the deepest formula's variant is never in the set."""
     rng = random.Random(seed)
     out = []
@@ -339,8 +333,9 @@ def syntax_differences(adapter, samples, lang, seed, max_input_size=2):
         left = frozenset(_random_formula(rng, lang, 2) for _ in range(size))
         right = frozenset(rng.choice([Not(Not(f)), And(f, Top()), Or(Bottom(), f)])
                           for f in left)
-        if adapter(left) != adapter(right):
-            out.append(tuple(tuple(sorted(map(format_formula, s))) for s in (left, right)))
+        texts = [frozenset(map(render, s)) for s in (left, right)]
+        if adapter(texts[0]) != adapter(texts[1]):
+            out.append(tuple(tuple(sorted(s)) for s in texts))
     return out
 
 
@@ -363,7 +358,7 @@ def test_syntax_probe_detects_text_keyed_adapter(induced_op):
 
     def broken(formulas):
         # depends on the formulas' printed text, not their meaning
-        return k if any("~" in format_formula(f) for f in formulas) else other
+        return k if any("~" in f for f in formulas) else other
 
     differences = syntax_differences(broken, 80, lang, seed=2)
     assert differences

@@ -1,15 +1,16 @@
 """One connective grammar: the shared parser and renderer against references.
 
 The references below are the two separate recursive-descent parsers and
-the two renderers the package had before formulas and descriptors shared
-one grammar core.  That core now parses one token list by precedence
-climbing, while the references walk the text character by character, so
-the texts include Unicode whitespace, multi-digit atoms and glued
-tokens.  Every public parse must give the reference's tree, or raise the
-reference's error with the same message and position, and every render
-must give the reference's text.  Text parsed straight to a sentence
-class must give the class of the reference's tree, evaluated valuation
-by valuation.
+the descriptor renderer the package had before sentences and descriptors
+shared one grammar core.  That core now parses one token list by
+precedence climbing, while the references walk the text character by
+character, so the texts include Unicode whitespace, multi-digit atoms
+and glued tokens.  The sentence reference builds a tree of the test-side
+node types (reference_tree.py).  Text parsed straight to a sentence
+class must give the class of that tree, evaluated valuation by
+valuation, or raise the reference's error with the same message and
+position.  Every descriptor parse must give the reference's tree or
+error, and every descriptor render must give the reference's text.
 """
 
 import pytest
@@ -29,23 +30,13 @@ from choicerev.descriptors import (
     parse_molecular,
 )
 from choicerev.logic import (
-    And,
-    Atom,
-    Bottom,
-    Implies,
     LanguageSpec,
-    Not,
-    Or,
     ParseError,
     SentenceClass,
-    Top,
     class_of,
-    format_formula,
-    parse_formula,
     parse_input_set,
 )
-
-from test_logic import formulas
+from reference_tree import And, Atom, Bottom, Implies, Not, Or, Top, tree_class
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +197,10 @@ class _RefDescParser:
             if self.peek() != ")":
                 raise ParseError("expected ')' closing 'B('", self.pos)
             self.pos += 1
-            return BelAtom(class_of(formula, self.lang))
+            return BelAtom(tree_class(formula, self.lang))
         if ch == "":
             raise ParseError("unexpected end of input", self.pos)
         raise ParseError(f"unexpected {ch!r}", self.pos)
-
-
-def _ref_parse_formula(text, lang):
-    return _RefParser(text, lang).parse()
 
 
 def _ref_parse_descriptor(text, lang):
@@ -221,7 +208,7 @@ def _ref_parse_descriptor(text, lang):
 
 
 def _ref_class_of(text, lang):
-    return class_of(_ref_parse_formula(text, lang), lang)
+    return tree_class(_RefParser(text, lang).parse(), lang)
 
 
 def _ref_parse_input_set(text, lang):
@@ -249,37 +236,6 @@ def _ref_parse_molecular(text, lang):
     if len(d) != 1:
         raise DescriptorError("expected a single molecular descriptor")
     return next(iter(d))
-
-
-_REF_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4}
-
-
-def _ref_format_formula(formula):
-    def render(node, parent_prec, right_of_implies):
-        if isinstance(node, Atom):
-            return f"p{node.index}"
-        if isinstance(node, Top):
-            return "T"
-        if isinstance(node, Bottom):
-            return "F"
-        if isinstance(node, Not):
-            return "~" + render(node.child, _REF_PRECEDENCE[Not], False)
-        prec = _REF_PRECEDENCE[type(node)]
-        if isinstance(node, Implies):
-            body = (
-                render(node.left, prec + 1, False)
-                + " -> "
-                + render(node.right, prec, True)
-            )
-        elif isinstance(node, Or):
-            body = render(node.left, prec, False) + " | " + render(node.right, prec + 1, False)
-        else:
-            body = render(node.left, prec, False) + " & " + render(node.right, prec + 1, False)
-        if prec < parent_prec or (prec == parent_prec and not right_of_implies and isinstance(node, Implies)):
-            return "(" + body + ")"
-        return body
-
-    return render(formula, 0, False)
 
 
 _REF_PREC = {DescImplies: 1, DescOr: 2, DescAnd: 3, DescNot: 4}
@@ -310,7 +266,7 @@ def _ref_format_molecular(d):
 # ---------------------------------------------------------------------------
 
 def _outcome(parse, text, lang):
-    """The tree, or the error's type, message and position."""
+    """The parse, or the error's type, message and position."""
     try:
         return parse(text, lang)
     except (ParseError, DescriptorError) as exc:
@@ -374,7 +330,6 @@ texts = st.one_of(
 langs = st.integers(1, 3).map(LanguageSpec)
 
 _PAIRS = (
-    (parse_formula, _ref_parse_formula),
     (parse_descriptor, _ref_parse_descriptor),
     (parse_molecular, _ref_parse_molecular),
 )
@@ -390,7 +345,8 @@ def test_parsers_match_references(text, lang):
 @settings(max_examples=1000, deadline=None)
 @given(texts, langs)
 def test_text_classes_match_evaluated_trees(text, lang):
-    """The mask grammar against the tree and `evaluate`."""
+    """The mask grammar against the reference tree, evaluated valuation
+    by valuation."""
     assert _outcome(class_of, text, lang) == _outcome(_ref_class_of, text, lang)
 
 
@@ -414,6 +370,12 @@ def test_bench_pool_classes_match_model_masks(workloads, seed):
         lang = LanguageSpec(atoms)
         for text, masks in pool:
             assert {c.mask for c in parse_input_set(text, lang).classes} == masks, text
+
+
+def parse_formula(text, lang):
+    """One sentence's text to its class: `class_of`, under the name the
+    error table's rows carry."""
+    return class_of(text, lang)
 
 
 @pytest.mark.parametrize(
@@ -455,11 +417,16 @@ def test_error_positions(lang2, parse, text, message, position):
 
 
 def test_association(lang2):
+    """Sentences on classes: a leading zero reads p01 as p1, and -> groups
+    to the right, which no other grouping's class matches; descriptors
+    on trees."""
     p0, p1 = Atom(0), Atom(1)
-    assert parse_formula("p01 & p1", lang2) == And(p1, p1)
-    assert parse_formula("p0 -> p1 -> p0", lang2) == Implies(p0, Implies(p1, p0))
-    assert parse_formula("p0 | p1 | p0", lang2) == Or(Or(p0, p1), p0)
-    assert parse_formula("p0 & p1 & p0", lang2) == And(And(p0, p1), p0)
+    assert class_of("p01 & p1", lang2) == tree_class(And(p1, p1), lang2)
+    assert class_of("p01 & p1", lang2) != class_of("p0 & p1", lang2)
+    assert class_of("p0 -> p1 -> p0", lang2) == tree_class(Implies(p0, Implies(p1, p0)), lang2)
+    assert class_of("p0 -> p1 -> p0", lang2) != tree_class(Implies(Implies(p0, p1), p0), lang2)
+    assert class_of("p0 | p1 | p0", lang2) == tree_class(Or(Or(p0, p1), p0), lang2)
+    assert class_of("p0 & p1 & p0", lang2) == tree_class(And(And(p0, p1), p0), lang2)
     b0, b1 = (BelAtom(class_of(t, lang2)) for t in ("p0", "p1"))
     assert parse_molecular("B(p0) -> B(p1) -> B(p0)", lang2) == DescImplies(
         b0, DescImplies(b1, b0)
@@ -481,13 +448,6 @@ def moleculars(draw, atom_count=2, max_depth=4):
         return [DescAnd, DescOr, DescImplies][kind - 1](build(depth - 1), build(depth - 1))
 
     return lang, build(max_depth)
-
-
-@settings(max_examples=500, deadline=None)
-@given(formulas(max_depth=5))
-def test_format_formula_matches_reference(pair):
-    _, f = pair
-    assert format_formula(f) == _ref_format_formula(f)
 
 
 @settings(max_examples=500, deadline=None)
