@@ -13,11 +13,16 @@ revision live here; the lemmas that the representation proofs use
 (member reduction, representation elements, coupling collapse) are
 checked from their definitions by the test battery.
 
-Transitivity, coupling, weak coupling and completeness are stated alike
-at both levels, so one checker (_check_shared) runs them on a table over
-a layout: a universe's input sets with their pairwise conjunctions, or a
+Each relation postulate has one checker, which reads a table over a
+layout: a universe's input sets with their pairwise conjunctions, or a
 language's classes with a & b (operators._class_tables, the one class
-layout, which the single-sentence operator battery runs on too).
+layout, which the single-sentence operator battery runs on too).  Each
+level has one table from its postulates to their checkers
+(_LEVEL_CHECKERS), and transitivity, coupling, weak coupling and
+completeness, which both levels state alike, sit in both tables.  One
+function (_check) turns a checker's verdict into the report and its
+witness, and one (_first_failing) finds the first postulate of a list
+that a relation fails, for is_quasi_linear and the round trips.
 
 The translations and the artifact writer are table operations: a single
 relation's rows unpack to a c*c bool matrix, the lift's table over a
@@ -92,9 +97,6 @@ QUASI_LINEAR_POSTULATES = (
 )
 
 STANDARD_POSTULATES = tuple(RelationPostulateId)
-
-# the ones whose set-level form needs constructed conjunction sets
-_MULTI_ONLY = (RelationPostulateId.DETERMINATION, RelationPostulateId.UNION)
 
 
 @dataclass(frozen=True)
@@ -383,100 +385,64 @@ def revise_via_mb(
 # Postulate checks
 # ---------------------------------------------------------------------------
 
-# the postulates both levels state alike, over sentence classes with the
-# conjunction a & b or over input sets with the pairwise conjunction
-_SHARED = frozenset((
-    RelationPostulateId.TRANSITIVITY,
-    RelationPostulateId.WEAK_COUPLING,
-    RelationPostulateId.COUPLING,
-    RelationPostulateId.COMPLETENESS,
-))
-
-# the witness notes that name the level's conjunction, by variant
-_CONJ_NOTES = {
-    "single": {
-        RelationPostulateId.COUPLING: "equally acceptable pair whose conjunction drops rank",
-        RelationPostulateId.WEAK_COUPLING:
-            "both single adjunctions keep rank but the joint one drops it",
-    },
-    "multi": {
-        RelationPostulateId.COUPLING:
-            "equally acceptable pair whose pairwise conjunction drops rank",
-        RelationPostulateId.WEAK_COUPLING:
-            "both pairwise adjunctions keep rank but the triple one drops it",
-    },
-}
+def _first(viol: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The indices of viol's first True entry in C order, or None."""
+    return _first_true(viol) if viol.any() else None
 
 
-def _cls(lang: LanguageSpec, m: int) -> SentenceClass:
-    return SentenceClass(lang, m)
+# Each checker maps a layout t and an n*n table m over it to a verdict:
+# (checked, skipped, items, note), where items are the t.sets indices of
+# the first violation's witness, None when the postulate holds.  The
+# layout is _tables(u) for a set-level relation and _class_tables(lang)
+# for a single-sentence one; t.conj_index holds each conjunction's index
+# (-1 outside the universe) and t.conj_table the cells coupling and weak
+# coupling read (_ConjTable), as flat indices into m's equal-rank table.
+# Transitivity, coupling, weak coupling and completeness are stated alike
+# at both levels, so one checker serves both; the coupling notes name the
+# level's conjunction and are bound in its table.
+
+def _transitivity(t, m: np.ndarray):
+    items = _first(graphs.bool_product(m, m) & ~m)
+    if items is not None:
+        a, b = items
+        items = (a, int(np.flatnonzero(m[a] & m[:, b])[0]), b)
+    return len(m) ** 3, 0, items, "chain holds but the endpoints do not compare"
 
 
-def _check_shared(
-    p: RelationPostulateId,
-    t: Union[_Tables, _ClassTables],
-    m: np.ndarray,
-    variant: str,
-) -> RelationReport:
-    """Transitivity, coupling, weak coupling or completeness of the n*n
-    table m over the layout t: _tables(u) for a set-level relation,
-    _class_tables(lang) for a single-sentence one.  t.sets names the
-    items, t.conj_index holds each conjunction's index (-1 outside the
-    universe) and t.conj_table the cells coupling and weak coupling read
-    (_ConjTable), as flat indices into m's equal-rank table."""
-    sets = t.sets
-    n = len(sets)
+def _completeness(t, m: np.ndarray):
+    return len(m) ** 2, 0, _first(~m & ~m.T), "incomparable pair"
 
-    def report(holds, checked, skipped=0, witness=None):
-        return RelationReport(p, variant, holds, checked, skipped, witness)
 
-    if p == RelationPostulateId.TRANSITIVITY:
-        viol = graphs.bool_product(m, m) & ~m
-        if not viol.any():
-            return report(True, n ** 3)
-        a, b = _first_true(viol)
-        mid = int(np.flatnonzero(m[a] & m[:, b])[0])
-        w = RelationWitness(
-            (sets[a], sets[mid], sets[b]),
-            "chain holds but the endpoints do not compare",
-        )
-        return report(False, n ** 3, witness=w)
-
-    if p == RelationPostulateId.COMPLETENESS:
-        viol = ~m & ~m.T
-        if not viol.any():
-            return report(True, n * n)
-        a, b = _first_true(viol)
-        return report(False, n * n, witness=RelationWitness((sets[a], sets[b]), "incomparable pair"))
-
+def _coupling(t, m: np.ndarray, note: str):
+    n = len(m)
+    ct = t.conj_table
     # flat holds the equal-rank table's cell (a, x) at a*n + x
     flat = (m & m.T).ravel()
-    ct = t.conj_table
-    if p == RelationPostulateId.COUPLING:
-        viol = flat[ct.cells] & ~flat[ct.conj]
-        checked = len(ct.cells)
-        if not viol.any():
-            return report(True, checked, n * n - checked)
-        i = int(viol.argmax())
+    items = _first(flat[ct.cells] & ~flat[ct.conj])
+    if items is not None:
+        (i,) = items
         a, b = divmod(int(ct.cells[i]), n)
-        w = RelationWitness((sets[a], sets[b], sets[int(ct.conj[i]) - a * n]),
-                            _CONJ_NOTES[variant][p])
-        return report(False, checked, n * n - checked, w)
+        items = (a, b, int(ct.conj[i]) - a * n)
+    return len(ct.cells), n * n - len(ct.cells), items, note
 
-    # weak coupling: the first failing quadruple has the smallest failing
-    # a; the first (b, d) in scan order is read off row a of conj_index,
-    # where an outside conjunction of -1 reads a cell the masks discard
+
+def _weak_coupling(t, m: np.ndarray, note: str):
+    n = len(m)
+    ct = t.conj_table
+    flat = (m & m.T).ravel()
     bad = flat[ct.iv] & flat[ct.iw] & ~flat[ct.it]
     if not bad.any():
-        return report(True, ct.checked, ct.skipped)
+        return ct.checked, ct.skipped, None, note
+    # the first failing quadruple has the smallest failing a; the first
+    # (b, d) in scan order is read off row a of conj_index, where an
+    # outside conjunction of -1 reads a cell the masks discard
     a = int(ct.iv[bad.argmax()]) // n
     row = t.conj_index[a]
     prem = (row >= 0) & flat[a * n + row]
     bs = np.flatnonzero(prem)
     tgt = t.conj_index[row[bs]]
     i, d = _first_true(prem & (tgt >= 0) & ~flat[a * n + tgt])
-    w = RelationWitness((sets[a], sets[int(bs[i])], sets[d]), _CONJ_NOTES[variant][p])
-    return report(False, ct.checked, ct.skipped, w)
+    return ct.checked, ct.skipped, (a, int(bs[i]), d), note
 
 
 def _prior_theory(lang: LanguageSpec, universal: np.ndarray) -> tuple[list[int], int, list[int]]:
@@ -489,149 +455,113 @@ def _prior_theory(lang: LanguageSpec, universal: np.ndarray) -> tuple[list[int],
     return bottom, k_mask, closed
 
 
-def _check_single(r: BelievabilityRelation, p: RelationPostulateId) -> RelationReport:
-    lang = r.lang
-    l = r.matrix()
-    if p in _SHARED:
-        return _check_shared(p, _class_tables(lang), l, "single")
-    c = r.class_count
-
-    def report(holds, checked, witness=None):
-        return RelationReport(p, "single", holds, checked, 0, witness)
-
-    if p == RelationPostulateId.COUNTER_DOMINANCE:
-        # ent[a, b]: class a entails class b
-        ent = _class_tables(lang).meets(np.arange(c)).T
-        viol = ent & ~l.T
-        if not viol.any():
-            return report(True, c * c)
-        a, b = _first_true(viol)
-        w = RelationWitness(
-            (_cls(lang, a), _cls(lang, b)),
-            "logically weaker class is not at least as acceptable",
-        )
-        return report(False, c * c, w)
-
-    if p == RelationPostulateId.MINIMALITY:
-        bottom, k_mask, closed = _prior_theory(lang, l.all(axis=1))
-        if k_mask == 0:
-            w = RelationWitness(tuple(), "universally acceptable classes force an inconsistent state")
-            return report(False, c, w)
-        if closed != bottom:
-            # every universally acceptable class is in `closed`: name the
-            # smallest class of `closed` that is not one
-            off = next(x for x in closed if x not in bottom)
-            w = RelationWitness(
-                (_cls(lang, off),),
-                "universally acceptable classes do not form a deductively closed theory",
-            )
-            return report(False, c, w)
-        return report(True, c)
-
-    if p == RelationPostulateId.MAXIMALITY:
-        top = np.flatnonzero(l.all(axis=0))
-        bad = [int(x) for x in top if x != 0]
-        if not bad:
-            return report(True, c)
-        w = RelationWitness(
-            (_cls(lang, bad[0]),),
-            "a satisfiable class sits at the very top",
-        )
-        return report(False, c, w)
-
-    raise ValueError(f"postulate {p.value} has no single-sentence variant")
+def _counter_dominance_single(t: _ClassTables, m: np.ndarray):
+    # ent[a, b]: class a entails class b
+    ent = t.meets(t.masks).T
+    return (len(m) ** 2, 0, _first(ent & ~m.T),
+            "logically weaker class is not at least as acceptable")
 
 
-def _check_multi(rel: MultiBelievabilityRelation, p: RelationPostulateId) -> RelationReport:
-    u = rel.universe
-    t = _tables(u)
-    m = rel.table_over(u)
-    if p in _SHARED:
-        return _check_shared(p, t, m, "multi")
-    sets = t.sets
-    n = len(sets)
+def _minimality_single(t: _ClassTables, m: np.ndarray):
+    bottom, k_mask, closed = _prior_theory(t.lang, m.all(axis=1))
+    if k_mask == 0:
+        return len(m), 0, (), "universally acceptable classes force an inconsistent state"
+    items = None
+    if closed != bottom:
+        # every universally acceptable class is in `closed`: name the
+        # smallest class of `closed` that is not one
+        items = (next(x for x in closed if x not in bottom),)
+    return (len(m), 0, items,
+            "universally acceptable classes do not form a deductively closed theory")
 
-    def report(holds, checked, skipped=0, witness=None):
-        return RelationReport(p, "multi", holds, checked, skipped, witness)
 
-    if p == RelationPostulateId.COUNTER_DOMINANCE:
-        viol = t.counter_dominance_ante & ~m
-        if not viol.any():
-            return report(True, n * n)
-        a, b = _first_true(viol)
-        w = RelationWitness(
-            (sets[a], sets[b]),
-            "every member of the second set entails some member of the first, yet the first does not rank at least as high",
-        )
-        return report(False, n * n, witness=w)
+def _maximality_single(t: _ClassTables, m: np.ndarray):
+    return (len(m), 0, _first(m.all(axis=0) & (t.masks != 0)),
+            "a satisfiable class sits at the very top")
 
-    if p == RelationPostulateId.MINIMALITY:
-        if u.max_input_size < 1:
-            raise LanguageError("minimality needs singletons in the universe")
-        c = u.class_count
-        univ_row = m.all(axis=1)
-        universal = univ_row[t.singleton_index]
-        bottom, k_mask, closed = _prior_theory(u.lang, universal)
-        if k_mask == 0 or closed != bottom:
-            w = RelationWitness(
-                tuple(),
-                "universally acceptable singletons do not determine a consistent closed theory",
-            )
-            return report(False, c + n, witness=w)
-        # the universally acceptable classes are now the prior theory
-        viol = univ_row != t.over_members(universal)
-        if not viol.any():
-            return report(True, c + n)
-        a = int(np.flatnonzero(viol)[0])
-        w = RelationWitness(
-            (sets[a],),
-            "set ranks below everything exactly when it shares a class with the prior theory; this one does not",
-        )
-        return report(False, c + n, witness=w)
 
-    if p == RelationPostulateId.MAXIMALITY:
-        nonempty = t.sizes > 0
-        col_all = m[nonempty].all(axis=0)
-        bottom_single = t.index.get((0,), -1)
-        viol = nonempty & col_all & (np.arange(n) != bottom_single)
-        if not viol.any():
-            return report(True, n)
-        b = int(np.flatnonzero(viol)[0])
-        w = RelationWitness(
-            (sets[b],),
-            "a set other than the contradiction singleton sits at the very top",
-        )
-        return report(False, n, witness=w)
+def _counter_dominance_multi(t: _Tables, m: np.ndarray):
+    return (len(m) ** 2, 0, _first(t.counter_dominance_ante & ~m),
+            "every member of the second set entails some member of the first, yet the first does not rank at least as high")
 
-    if p == RelationPostulateId.DETERMINATION:
-        e = t.empty_index
-        nonempty = t.sizes > 0
-        strictly = m[:, e] & ~m[e, :]
-        viol = nonempty & ~strictly
-        if not viol.any():
-            return report(True, n)
-        a = int(np.flatnonzero(viol)[0])
-        w = RelationWitness(
-            (sets[a],),
-            "nonempty set not strictly easier to accept than the empty set",
-        )
-        return report(False, n, witness=w)
 
-    if p == RelationPostulateId.UNION:
-        ia, ib, iu, skipped = t.union_triples
-        viol = ~m[ia, iu] & ~m[ib, iu]
-        checked = len(iu)
-        if not viol.any():
-            return report(True, checked, skipped)
-        first = _first_true(viol)[0]
-        a, b, uu = int(ia[first]), int(ib[first]), int(iu[first])
-        w = RelationWitness(
-            (sets[a], sets[b], sets[uu]),
-            "neither part ranks at least as high as the union",
-        )
-        return report(False, checked, skipped, w)
+def _minimality_multi(t: _Tables, m: np.ndarray):
+    if t.u.max_input_size < 1:
+        raise LanguageError("minimality needs singletons in the universe")
+    checked = t.u.class_count + len(m)
+    univ_row = m.all(axis=1)
+    universal = univ_row[t.singleton_index]
+    bottom, k_mask, closed = _prior_theory(t.lang, universal)
+    if k_mask == 0 or closed != bottom:
+        return (checked, 0, (),
+                "universally acceptable singletons do not determine a consistent closed theory")
+    # the universally acceptable classes are now the prior theory
+    return (checked, 0, _first(univ_row != t.over_members(universal)),
+            "set ranks below everything exactly when it shares a class with the prior theory; this one does not")
 
-    raise ValueError(f"unknown postulate {p!r}")
+
+def _maximality_multi(t: _Tables, m: np.ndarray):
+    nonempty = t.sizes > 0
+    other = np.arange(len(m)) != t.index.get((0,), -1)
+    return (len(m), 0, _first(nonempty & m[nonempty].all(axis=0) & other),
+            "a set other than the contradiction singleton sits at the very top")
+
+
+def _determination(t: _Tables, m: np.ndarray):
+    e = t.empty_index
+    return (len(m), 0, _first((t.sizes > 0) & ~(m[:, e] & ~m[e, :])),
+            "nonempty set not strictly easier to accept than the empty set")
+
+
+def _union(t: _Tables, m: np.ndarray):
+    ia, ib, iu, skipped = t.union_triples
+    items = _first(~m[ia, iu] & ~m[ib, iu])
+    if items is not None:
+        (i,) = items
+        items = (int(ia[i]), int(ib[i]), int(iu[i]))
+    return len(iu), skipped, items, "neither part ranks at least as high as the union"
+
+
+# each level's postulates and their checkers, by variant
+_LEVEL_CHECKERS = {
+    "single": {
+        RelationPostulateId.TRANSITIVITY: _transitivity,
+        RelationPostulateId.WEAK_COUPLING: functools.partial(
+            _weak_coupling, note="both single adjunctions keep rank but the joint one drops it"),
+        RelationPostulateId.COUPLING: functools.partial(
+            _coupling, note="equally acceptable pair whose conjunction drops rank"),
+        RelationPostulateId.COUNTER_DOMINANCE: _counter_dominance_single,
+        RelationPostulateId.MINIMALITY: _minimality_single,
+        RelationPostulateId.MAXIMALITY: _maximality_single,
+        RelationPostulateId.COMPLETENESS: _completeness,
+    },
+    "multi": {
+        RelationPostulateId.TRANSITIVITY: _transitivity,
+        RelationPostulateId.WEAK_COUPLING: functools.partial(
+            _weak_coupling, note="both pairwise adjunctions keep rank but the triple one drops it"),
+        RelationPostulateId.COUPLING: functools.partial(
+            _coupling, note="equally acceptable pair whose pairwise conjunction drops rank"),
+        RelationPostulateId.COUNTER_DOMINANCE: _counter_dominance_multi,
+        RelationPostulateId.MINIMALITY: _minimality_multi,
+        RelationPostulateId.MAXIMALITY: _maximality_multi,
+        RelationPostulateId.COMPLETENESS: _completeness,
+        RelationPostulateId.DETERMINATION: _determination,
+        RelationPostulateId.UNION: _union,
+    },
+}
+
+
+def _check(p: RelationPostulateId, t, m: np.ndarray, variant: str) -> RelationReport:
+    """p's report on the n*n table m over the layout t, from the checker
+    in the variant's table; the witness names t.sets at its items."""
+    checker = _LEVEL_CHECKERS[variant].get(p)
+    if checker is None:
+        raise ValueError(f"postulate {p.value} has no single-sentence variant")
+    checked, skipped, items, note = checker(t, m)
+    if items is None:
+        return RelationReport(p, variant, True, checked, skipped)
+    w = RelationWitness(tuple(t.sets[i] for i in items), note)
+    return RelationReport(p, variant, False, checked, skipped, w)
 
 
 def check_relation_postulate(
@@ -645,12 +575,25 @@ def check_relation_postulate(
     are skipped and tallied.
     """
     if isinstance(r, BelievabilityRelation):
-        return _check_single(r, p)
-    return _check_multi(r, p)
+        return _check(p, _class_tables(r.lang), r.matrix(), "single")
+    u = r.universe
+    return _check(p, _tables(u), r.table_over(u), "multi")
+
+
+def _first_failing(
+    r: Union[BelievabilityRelation, MultiBelievabilityRelation], ps
+) -> Optional[RelationReport]:
+    """The report of the first postulate of ps that r fails, or None when
+    r passes them all; the checks after it are not run."""
+    for p in ps:
+        report = check_relation_postulate(r, p)
+        if not report.holds:
+            return report
+    return None
 
 
 def is_quasi_linear(r: BelievabilityRelation) -> bool:
-    return all(_check_single(r, p).holds for p in QUASI_LINEAR_POSTULATES)
+    return _first_failing(r, QUASI_LINEAR_POSTULATES) is None
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +687,7 @@ def save_relation(
 @functools.lru_cache(maxsize=None)
 def _class_codes(lang: LanguageSpec) -> tuple:
     """SentenceClass.encode() of every class mask, as tuples."""
-    return tuple(tuple(_cls(lang, m).encode()) for m in range(lang.full_mask + 1))
+    return tuple(tuple(x.encode()) for x in _class_tables(lang).sets)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,11 +20,11 @@ from typing import Optional
 
 from . import __version__
 from .believability import (
+    QUASI_LINEAR_POSTULATES,
+    STANDARD_POSTULATES,
     BelievabilityRelation,
     MultiBelievabilityRelation,
     RelationFormatError,
-    RelationPostulateId,
-    _MULTI_ONLY,
     check_relation_postulate,
     lift,
     load_relation,
@@ -227,9 +227,8 @@ def _cmd_check(args) -> int:
         _emit(args, payload, lines)
         return 0 if payload["all_hold"] else 1
     rel = load_relation(args.relation)
-    ids = list(RelationPostulateId)
-    if isinstance(rel, BelievabilityRelation):
-        ids = [p for p in ids if p not in _MULTI_ONLY]
+    single = isinstance(rel, BelievabilityRelation)
+    ids = QUASI_LINEAR_POSTULATES if single else STANDARD_POSTULATES
     # a set-level relation read from a file is checked over its own universe
     reports = [check_relation_postulate(rel, p)
                for p in _postulate_selection(args.postulates, ids)]

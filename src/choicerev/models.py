@@ -322,8 +322,7 @@ def _load_json(path: str, error: type[ValueError], parse: Callable[[dict], _T]) 
             gc.enable()
 
 
-def load_model(path: str, validate: bool = True) -> RelationalModel:
+def load_model(path: str) -> RelationalModel:
     model = _load_json(path, ModelFormatError, RelationalModel.from_json)
-    if validate:
-        model.require_valid()
+    model.require_valid()
     return model

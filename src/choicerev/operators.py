@@ -90,7 +90,7 @@ class _Tables:
         self.lang = lang = u.lang
         self.classes = _class_tables(lang)
         c = u.class_count
-        classes = [SentenceClass(lang, m) for m in range(c)]
+        classes = self.classes.sets
         sets: list[InputSet] = []
         for k in range(min(u.max_input_size, c) + 1):
             for combo in itertools.combinations(range(c), k):
@@ -292,7 +292,7 @@ class _ClassTables:
     """The sentence classes of a language laid out as _Tables lays out a
     universe's input sets: item x is class x.  One layout serves both
     levels' shared checks: the relation postulates the two levels state
-    alike (`believability._check_shared`), and the operator postulates of
+    alike (`believability._LEVEL_CHECKERS`), and the operator postulates of
     a single-sentence table (`synthesis.check_sentential_postulates`),
     which run the set-level checkers on an `_OpKernel` over it.
 

@@ -34,7 +34,8 @@ from .believability import (
     MultiBelievabilityRelation,
     RelationOperationError,
     RelationPostulateId,
-    check_relation_postulate,
+    RelationReport,
+    _first_failing,
     derive_mb_from_operator,
     is_quasi_linear,
     lift,
@@ -331,6 +332,19 @@ def _replay_relation(
     }
 
 
+def _relation_failure(
+    theorem: int, what: str, rep: RelationReport, header: dict, with_witness: bool,
+    source: Optional[MultiBelievabilityRelation] = None,
+) -> RoundTripReport:
+    """The failing report of a relation gate: what fails rep's postulate,
+    with rep's witness when with_witness is set."""
+    witness = {"kind": "relation_postulate", "postulate": rep.postulate.value}
+    if with_witness:
+        witness["witness"] = rep.witness.to_dict() if rep.witness else None
+    return RoundTripReport(theorem, False, f"{what} fails {rep.postulate.value}",
+                           witness=witness, _source=source, universe=header)
+
+
 def verify_roundtrip_relation(op: ChoiceOperator, standard: bool = False) -> RoundTripReport:
     """Derive a set-level ordering from the operator and replay it.
 
@@ -355,22 +369,9 @@ def verify_roundtrip_relation(op: ChoiceOperator, standard: bool = False) -> Rou
     if failed is not None:
         return failed
     mb = derive_mb_from_operator(op)
-    wanted = STANDARD_POSTULATES if standard else _CORE_RELATION_SET
-    for p in wanted:
-        rep = check_relation_postulate(mb, p)
-        if not rep.holds:
-            return RoundTripReport(
-                theorem,
-                False,
-                f"derived relation fails {p.value}",
-                witness={
-                    "kind": "relation_postulate",
-                    "postulate": p.value,
-                    "witness": rep.witness.to_dict() if rep.witness else None,
-                },
-                _source=mb,
-                universe=header,
-            )
+    rep = _first_failing(mb, STANDARD_POSTULATES if standard else _CORE_RELATION_SET)
+    if rep is not None:
+        return _relation_failure(theorem, "derived relation", rep, header, True, mb)
     mismatch = _replay_relation(op, mb)
     if mismatch is not None:
         return RoundTripReport(
@@ -407,32 +408,13 @@ def verify_translation(
     if isinstance(r, BelievabilityRelation):
         u = UniverseSpec(r.lang, max_input_size)
         header = _universe_header(u)
-        for p in QUASI_LINEAR_POSTULATES:
-            rep = check_relation_postulate(r, p)
-            if not rep.holds:
-                return RoundTripReport(
-                    3,
-                    False,
-                    f"relation fails {p.value}",
-                    witness={
-                        "kind": "relation_postulate",
-                        "postulate": p.value,
-                        "witness": rep.witness.to_dict() if rep.witness else None,
-                    },
-                    universe=header,
-                )
+        rep = _first_failing(r, QUASI_LINEAR_POSTULATES)
+        if rep is not None:
+            return _relation_failure(3, "relation", rep, header, True)
         lifted = lift(r, max_input_size)
-        # the first postulate the lift fails; the checks after it are not run
-        bad = next((p.value for p in STANDARD_POSTULATES
-                    if not check_relation_postulate(lifted, p).holds), None)
-        if bad is not None:
-            return RoundTripReport(
-                3,
-                False,
-                f"lifted relation fails {bad}",
-                witness={"kind": "relation_postulate", "postulate": bad},
-                universe=header,
-            )
+        rep = _first_failing(lifted, STANDARD_POSTULATES)
+        if rep is not None:
+            return _relation_failure(3, "lifted relation", rep, header, False)
         back = project(lifted)
         if back != r:
             return RoundTripReport(
@@ -453,16 +435,9 @@ def verify_translation(
 
     u = r.universe
     header = _universe_header(u)
-    bad = next((p.value for p in STANDARD_POSTULATES
-                if not check_relation_postulate(r, p).holds), None)
-    if bad is not None:
-        return RoundTripReport(
-            3,
-            False,
-            f"relation fails {bad}",
-            witness={"kind": "relation_postulate", "postulate": bad},
-            universe=header,
-        )
+    rep = _first_failing(r, STANDARD_POSTULATES)
+    if rep is not None:
+        return _relation_failure(3, "relation", rep, header, False)
     base = project(r)
     if not is_quasi_linear(base):
         return RoundTripReport(

@@ -175,10 +175,16 @@ def test_strict_order_is_quasi_linear(strict_order):
 
 
 def test_single_has_no_set_only_postulates(strict_order):
-    with pytest.raises(ValueError):
-        check_relation_postulate(strict_order, RelationPostulateId.DETERMINATION)
-    with pytest.raises(ValueError):
-        check_relation_postulate(strict_order, RelationPostulateId.UNION)
+    """The single level's table has no determination or union checker, at
+    every atom count a single relation takes."""
+    relations = [strict_order] + [
+        BelievabilityRelation.from_matrix(lang, np.ones((lang.full_mask + 1,) * 2, dtype=bool))
+        for lang in (LanguageSpec(2), LanguageSpec(3))
+    ]
+    for r in relations:
+        for p in (RelationPostulateId.DETERMINATION, RelationPostulateId.UNION):
+            with pytest.raises(ValueError, match=f"^postulate {p.value} has no single-sentence variant$"):
+                check_relation_postulate(r, p)
 
 
 def test_coupling_violation_detected(lang1):

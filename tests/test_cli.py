@@ -102,12 +102,24 @@ def test_check_unknown_postulate(operator_file, capsys):
     assert "unknown postulate" in capsys.readouterr().err
 
 
-def test_check_relation(relation_file, capsys):
+def test_check_relation(tmp_path, relation_file, capsys):
+    from choicerev.believability import QUASI_LINEAR_POSTULATES, STANDARD_POSTULATES
+
     assert main(["check", "--relation", relation_file]) == 0
     out = capsys.readouterr().out
     assert "completeness (single): pass" in out
     # set-only postulates are not offered for single relations
     assert "determination" not in out
+    # each level's battery is its postulate list, in order
+    lifted = tmp_path / "lifted.json"
+    assert main(["translate", "--relation", relation_file, "--direction", "lift",
+                 "--out", str(lifted)]) == 0
+    for path, ids in ((relation_file, QUASI_LINEAR_POSTULATES),
+                      (str(lifted), STANDARD_POSTULATES)):
+        capsys.readouterr()
+        assert main(["check", "--relation", path, "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["postulate"] for r in reports] == [p.value for p in ids]
 
 
 def test_check_json_deterministic(operator_file, capsys):

@@ -38,8 +38,8 @@ from choicerev.believability import (
     RelationPostulateId,
     RelationReport,
     RelationWitness,
-    _check_multi,
-    _check_shared,
+    _check,
+    check_relation_postulate,
     derive_mb_from_operator,
 )
 from choicerev.logic import LanguageSpec
@@ -208,7 +208,7 @@ def test_weak_coupling_matches_oracles(n):
     refs = _reference_tables(n) if n <= 137 else None
     verdicts = set()
     for rel in _corpus(u, seed=n) if n <= 137 else _three_atom_corpus(u, seed=n):
-        got = _check_multi(rel, WC)
+        got = check_relation_postulate(rel, WC)
         assert got == _pair_gather_multi(rel)
         if refs:
             assert got.to_dict() == _reference_weak_coupling(rel, u, *refs).to_dict()
@@ -227,7 +227,7 @@ def test_weak_coupling_matches_pair_gather_on_697_flips():
     rels += [_flip_multi(rel, u, rng.randrange(697), rng.randrange(697)) for _ in range(6)]
     verdicts = set()
     for r in rels:
-        got = _check_multi(r, WC)
+        got = check_relation_postulate(r, WC)
         assert got == _pair_gather_multi(r)
         verdicts.add(got.holds)
     assert verdicts == {True, False}
@@ -261,7 +261,7 @@ def test_weak_coupling_v_equal_to_w():
     rel = MultiBelievabilityRelation.from_table(u, m)
     bad = _violations(m, c2, c3)
     assert bad and all(c2[a_, b] == c2[a_, d] for a_, b, d in bad)
-    got = _check_multi(rel, WC)
+    got = check_relation_postulate(rel, WC)
     assert not got.holds
     assert got.to_dict() == _reference_weak_coupling(rel, u, c2, c3).to_dict()
     assert got == _pair_gather_multi(rel)
@@ -276,11 +276,11 @@ def test_weak_coupling_t_equal_to_a():
     layout = SimpleNamespace(sets=("x0", "x1"), conj_index=c2, conj_table=_conj_table(c2))
     assert _table_quads(layout.conj_table, 2) == [(0, 1, 1, 0), (1, 0, 0, 1)]
     m = np.array([[False, True], [True, True]])
-    got = _check_shared(WC, layout, m, "single")
+    got = _check(WC, layout, m, "single")
     assert got == RelationReport(WC, "single", False, 8, 0,
                                  RelationWitness(("x0", "x1", "x1"), NOTES["single"]))
     assert got == pair_gather_weak_coupling(m, layout.sets, c2, "single")
-    assert _check_shared(WC, layout, np.ones((2, 2), dtype=bool), "single").holds
+    assert _check(WC, layout, np.ones((2, 2), dtype=bool), "single").holds
 
 
 def test_weak_coupling_witness_is_first_instance():
@@ -296,7 +296,7 @@ def test_weak_coupling_witness_is_first_instance():
         rows = rng.choice(n, size=4, replace=False)
         m[rows] = rng.random((4, n)) < 0.8
         rel = MultiBelievabilityRelation.from_table(u, m)
-        got = _check_multi(rel, WC)
+        got = check_relation_postulate(rel, WC)
         assert got.to_dict() == _reference_weak_coupling(rel, u, c2, c3).to_dict()
         assert got == _pair_gather_multi(rel)
         verdicts.add(got.holds)

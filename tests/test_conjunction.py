@@ -23,7 +23,7 @@ from choicerev.believability import (
     RelationPostulateId,
     RelationReport,
     RelationWitness,
-    _check_multi,
+    check_relation_postulate,
     derive_mb_from_operator,
     lift,
     random_quasi_linear,
@@ -311,7 +311,7 @@ def test_weak_coupling_matches_triple_table(n, references):
     c2, c3 = references[n]
     verdicts = set()
     for rel in _corpus(u, seed=n):
-        got = _check_multi(rel, WC)
+        got = check_relation_postulate(rel, WC)
         want = _reference_weak_coupling(rel, u, c2, c3)
         assert got.to_dict() == want.to_dict()
         verdicts.add(got.holds)
@@ -339,7 +339,7 @@ def test_weak_coupling_witness_in_cell_order(n, references):
             m = np.ones((n, n), dtype=bool)
             m[a] = rng.random(n) < 0.7
             rel = MultiBelievabilityRelation.from_table(u, m)
-            got = _check_multi(rel, WC)
+            got = check_relation_postulate(rel, WC)
             assert got.to_dict() == _reference_weak_coupling(rel, u, c2, c3).to_dict()
             verdicts.add(got.holds)
     assert False in verdicts
@@ -354,7 +354,7 @@ def test_weak_coupling_matches_row_loop_at_full_size(n):
     derived = derive_mb_from_operator(ChoiceOperator.from_model(model, u.max_input_size))
     verdicts = set()
     for rel in (derived, _break_weak_coupling(derived, u)):
-        got = _check_multi(rel, WC)
+        got = check_relation_postulate(rel, WC)
         assert got.to_dict() == _row_loop_weak_coupling(rel, u).to_dict()
         verdicts.add(got.holds)
     assert verdicts == {True, False}
@@ -366,7 +366,7 @@ def test_counter_dominance_and_union_match_references(n):
     verdicts = {CD: set(), UNION: set()}
     for rel in _corpus(u, seed=n):
         for p, reference in ((CD, _reference_counter_dominance), (UNION, _reference_union)):
-            got = _check_multi(rel, p)
+            got = check_relation_postulate(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict()
             verdicts[p].add(got.holds)
     assert verdicts == {CD: {True, False}, UNION: {True, False}}
@@ -406,14 +406,14 @@ def test_counter_dominance_and_union_hold_breaks_under_flip(n):
         m = rel.table_over(u)
         flip = functools.partial(_flip_multi, rel, u)
         for p, reference in CD_UNION_REFERENCES.items():
-            if not _check_multi(rel, p).holds:
+            if not check_relation_postulate(rel, p).holds:
                 continue
             cells = _breaking_cells(m, u, p)
             found = _breaking_flip(cells, flip, lambda r: reference(r, u), seed=i)
             assert (found is not None) == bool(cells), (p.value, i)
             if found:
                 flipped, want = found
-                assert _check_multi(flipped, p).to_dict() == want.to_dict()
+                assert check_relation_postulate(flipped, p).to_dict() == want.to_dict()
                 broken[p] += 1
     assert min(broken.values()) >= 3, broken
 
@@ -427,13 +427,13 @@ def test_counter_dominance_and_union_match_references_at_697():
     m = rel.table_over(u)
     flip = functools.partial(_flip_multi, rel, u)
     for p, reference in CD_UNION_REFERENCES.items():
-        got = _check_multi(rel, p)
+        got = check_relation_postulate(rel, p)
         assert got.to_dict() == reference(rel, u).to_dict(), p.value
         assert got.holds, p.value
         found = _breaking_flip(_breaking_cells(m, u, p), flip, lambda r: reference(r, u), 697, tries=3)
         assert found is not None, p.value
         flipped, want = found
-        assert _check_multi(flipped, p).to_dict() == want.to_dict()
+        assert check_relation_postulate(flipped, p).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("n", [16, 17, 137, 257, 697])

@@ -71,7 +71,6 @@ from choicerev.believability import (
     RelationPostulateId,
     RelationReport,
     RelationWitness,
-    _check_multi,
     check_relation_postulate,
     derive_mb_from_operator,
     lift,
@@ -543,7 +542,7 @@ def test_multi_checkers_match_references(n):
     verdicts = {TR: set(), CP: set()}
     for rel in rels:
         for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
-            got = _check_multi(rel, p)
+            got = check_relation_postulate(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict(), p.value
             verdicts[p].add(got.holds)
     assert verdicts == {TR: {True, False}, CP: {True, False}}
@@ -561,7 +560,7 @@ def _multi_breaking_flips(rel, u, seed):
         (CP, reference_multi_coupling, lambda: _coupling_cells(m, lambda a, b: t.conj_index[a, b])),
     )
     for p, reference, cells in cases:
-        if not _check_multi(rel, p).holds:
+        if not check_relation_postulate(rel, p).holds:
             continue
         found = _breaking_flip(cells(), flip, lambda r: reference(r, u), seed)
         if found:
@@ -580,8 +579,8 @@ def test_multi_holds_breaks_under_flip(n):
     for i, rel in enumerate(rels):
         for p, flipped, want in _multi_breaking_flips(rel, u, seed=i):
             assert not want.holds
-            assert _check_multi(flipped, p).to_dict() == want.to_dict()
-            got_wc = _check_multi(flipped, WC)
+            assert check_relation_postulate(flipped, p).to_dict() == want.to_dict()
+            got_wc = check_relation_postulate(flipped, WC)
             assert got_wc.to_dict() == _reference_weak_coupling(flipped, u, c2, c3).to_dict()
             broken[p] += 1
     assert broken[TR] >= 5 and broken[CP] >= 5, broken
@@ -603,7 +602,7 @@ def test_multi_checkers_match_references_at_697():
     verdicts = []
     for r in (rel, _flip_multi(rel, u, a, b)):
         for p, reference in ((TR, reference_multi_transitivity), (CP, reference_multi_coupling)):
-            got = _check_multi(r, p)
+            got = check_relation_postulate(r, p)
             assert got.to_dict() == reference(r, u).to_dict(), p.value
             verdicts.append(got.holds)
     assert verdicts[0] and not verdicts[2]
@@ -712,7 +711,7 @@ def test_multi_set_checkers_match_references(n):
     verdicts = {p: set() for p in SET_REFERENCES}
     for rel in rels:
         for p, reference in SET_REFERENCES.items():
-            got = _check_multi(rel, p)
+            got = check_relation_postulate(rel, p)
             assert got.to_dict() == reference(rel, u).to_dict(), p.value
             verdicts[p].add(got.holds)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
@@ -729,14 +728,14 @@ def test_multi_set_holds_breaks_under_flip(n):
         m = rel.table_over(u)
         flip = functools.partial(_flip_multi, rel, u)
         for p, reference in SET_REFERENCES.items():
-            if not _check_multi(rel, p).holds:
+            if not check_relation_postulate(rel, p).holds:
                 continue
             cells = _set_breaking_cells(m, u, p)
             found = _breaking_flip(cells, flip, lambda r: reference(r, u), seed=i)
             assert (found is not None) == bool(cells), (p.value, i)
             if found:
                 flipped, want = found
-                assert _check_multi(flipped, p).to_dict() == want.to_dict()
+                assert check_relation_postulate(flipped, p).to_dict() == want.to_dict()
                 broken[p] += 1
     assert min(broken.values()) >= 3, broken
 
@@ -750,7 +749,7 @@ def test_multi_set_checkers_match_references_at_697():
     m = rel.table_over(u)
     verdicts = {}
     for p, reference in SET_REFERENCES.items():
-        got = _check_multi(rel, p)
+        got = check_relation_postulate(rel, p)
         assert got.to_dict() == reference(rel, u).to_dict(), p.value
         verdicts[p] = got.holds
         if not got.holds:
@@ -759,7 +758,7 @@ def test_multi_set_checkers_match_references_at_697():
         found = _breaking_flip(_set_breaking_cells(m, u, p), flip, lambda r: reference(r, u), 697, tries=3)
         assert found is not None, p.value
         flipped, want = found
-        assert _check_multi(flipped, p).to_dict() == want.to_dict()
+        assert check_relation_postulate(flipped, p).to_dict() == want.to_dict()
     assert verdicts == {MN: True, MX: False, CM: True, DT: True}
 
 
